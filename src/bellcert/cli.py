@@ -21,8 +21,8 @@ from .functionals import (
     trivial_standardized,
 )
 from .optim import OptimizerControls
-from .protocols import run_full_pbr, run_martingale, run_simplified_pbr
-from .scenario import Scenario, read_distribution, read_trials, write_distribution
+from .protocols import get_protocol
+from .scenario import Scenario, _check_same_scenario, encode_trials, read_distribution, read_trials, write_distribution
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -71,7 +71,7 @@ def _source_distribution(args):
 
 def _print_flags(analyses: dict) -> None:
     for name, analysis in analyses.items():
-        for flag in getattr(analysis, "flags", []):
+        for flag in analysis.flags:
             print(f"warning: {name}: {flag}", file=sys.stderr)
 
 
@@ -81,21 +81,11 @@ def _resolve_names(names, scenario):
     for name in names:
         if name.startswith("file:"):
             f = load_functional_file(name[5:])
-            _check_same_result_space(f.scenario, scenario)
+            _check_same_scenario(f.scenario, scenario, name[5:])
             resolved.append(f)
         else:
             resolved.extend(resolve_catalog_name(name, scenario))
     return resolved
-
-
-def _check_same_result_space(found, expected):
-    same = (
-        found.parties == expected.parties
-        and found.settings_per_party == expected.settings_per_party
-        and found.outcomes_per_setting == expected.outcomes_per_setting
-    )
-    if not same:
-        raise ScenarioMismatchError("custom functional file targets a different scenario")
 
 
 def cmd_analyze(args) -> int:
@@ -104,26 +94,18 @@ def cmd_analyze(args) -> int:
     if not trials:
         raise ScenarioMismatchError(f"{args.trials_file}: no trial records")
     names = [n for n in args.functions.split(",") if n]
-    resolved = _resolve_names(names, scenario)
-    functions = [trivial_standardized(scenario)] + [standardize(f) for f in resolved]
+    functions = [trivial_standardized(scenario)] + [standardize(f) for f in _resolve_names(names, scenario)]
+    protocols = {name: get_protocol(name) for name in (p.strip() for p in args.protocol.split(","))}
+    encoded = encode_trials(scenario, trials)
     controls = _controls(args)
-    analyses = {}
-    for protocol in args.protocol.split(","):
-        protocol = protocol.strip()
-        if protocol == "mart":
-            if not resolved:
-                raise UnknownFunctionalError("martingale protocol needs a non-trivial functional name")
-            analyses[protocol] = run_martingale(trials, resolved[0])
-        elif protocol == "spbr":
-            analyses[protocol] = run_simplified_pbr(trials, functions, args.block, controls)
-        elif protocol == "fpbr":
-            analyses[protocol] = run_full_pbr(trials, scenario, args.block, controls, args.floor)
-        else:
-            raise UnknownFunctionalError(f"unknown protocol {protocol!r}")
+    analyses = {
+        name: protocol.run(encoded, functions, args.block, controls, args.floor) for name, protocol in protocols.items()
+    }
     for name, analysis in analyses.items():
-        stat = analysis.mean if name == "mart" else analysis.log2_t
-        stat_name = "mean" if name == "mart" else "log2_T"
-        print(f"protocol={name} n={analysis.n} {stat_name}={stat:.10g} p_value={analysis.pvalue:.10g}")
+        print(
+            f"protocol={name} n={analysis.n} {analysis.statistic_name}={analysis.statistic:.10g}"
+            f" p_value={analysis.pvalue:.10g}"
+        )
         if args.out:
             path = Path(args.out) / f"report_{name}.csv"
             Path(args.out).mkdir(parents=True, exist_ok=True)
@@ -219,6 +201,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     if "--config-file" not in argv:
         return argv
     i = argv.index("--config-file")
+    if i + 1 == len(argv):
+        return argv  # the parser reports the missing value
     path = argv[i + 1]
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)

@@ -10,65 +10,56 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import StandardizationError, TrialFormatError, UnknownFunctionalError
-from .scenario import (
-    ENUMERATION_CAP,
-    Distribution,
-    Scenario,
-    TrialResult,
-    decode_result,
-    encode_result,
-    result_space_size,
-    scenario_from_json,
-)
+from .errors import SizeLimitError, StandardizationError, TrialFormatError, UnknownFunctionalError
+from .scenario import ENUMERATION_CAP, Distribution, Scenario, result_space_size, scenario_from_json
+
+
+def _frozen_table(scenario: Scenario, table: np.ndarray) -> np.ndarray:
+    t = np.asarray(table, dtype=float)
+    k = result_space_size(scenario)
+    if t.shape != (k,):
+        raise ValueError(f"value table must have length {k}")
+    t.flags.writeable = False
+    return t
 
 
 @dataclass(frozen=True, eq=False)
 class Functional:
     """A per-trial function with declared LR bound B and pointwise range [inf_b, sup_a].
 
-    ``table``, when present, holds the K pre-tabulated values ordered by the
-    result encoding; catalog functionals always carry it so that evaluation is
-    a constant-time lookup.
+    ``table`` holds the K values ordered by the result encoding, so evaluating
+    a trial is one lookup at its encoded index.
     """
 
     name: str
     scenario: Scenario
-    evaluate: Callable[[TrialResult], float]
     bound_B: float
     inf_b: float
     sup_a: float
-    table: np.ndarray | None = None
+    table: np.ndarray
 
     def __post_init__(self):
         if not self.inf_b <= self.sup_a:
             raise ValueError("inf_b must not exceed sup_a")
-        if self.table is not None:
-            t = np.asarray(self.table, dtype=float)
-            t.flags.writeable = False
-            object.__setattr__(self, "table", t)
+        object.__setattr__(self, "table", _frozen_table(self.scenario, self.table))
 
 
 @dataclass(frozen=True, eq=False)
 class StandardizedFunctional:
-    """The r-form of a functional: non-negative, LR expectation at most 1."""
+    """The r-form of a functional: non-negative, LR expectation at most 1, tabulated like its source."""
 
     name: str
     scenario: Scenario
-    evaluate_r: Callable[[TrialResult], float]
+    table: np.ndarray
     source: Functional | None = None
-    table: np.ndarray | None = None
     is_trivial: bool = False
 
     def __post_init__(self):
-        if self.table is not None:
-            t = np.asarray(self.table, dtype=float)
-            t.flags.writeable = False
-            object.__setattr__(self, "table", t)
+        object.__setattr__(self, "table", _frozen_table(self.scenario, self.table))
 
 
 def standardize(f: Functional) -> StandardizedFunctional:
@@ -76,36 +67,20 @@ def standardize(f: Functional) -> StandardizedFunctional:
     b, bb = f.inf_b, f.bound_B
     if not b < bb:
         raise StandardizationError(f"functional {f.name!r}: standardization needs inf_b < bound_B (got {b} >= {bb})")
-    scale = bb - b
-    table = None if f.table is None else (f.table - b) / scale
-    return StandardizedFunctional(
-        name=f"std({f.name})",
-        scenario=f.scenario,
-        evaluate_r=lambda x, _f=f, _b=b, _s=scale: (_f.evaluate(x) - _b) / _s,
-        source=f,
-        table=table,
-    )
+    return StandardizedFunctional(name=f"std({f.name})", scenario=f.scenario, table=(f.table - b) / (bb - b), source=f)
 
 
 def trivial_standardized(scenario: Scenario) -> StandardizedFunctional:
     """The constant function r = 1, always a valid (uninformative) weighting target."""
-    return StandardizedFunctional(
-        name="trivial",
-        scenario=scenario,
-        evaluate_r=lambda x: 1.0,
-        is_trivial=True,
-    )
+    k = result_space_size(scenario)
+    if k > ENUMERATION_CAP:
+        raise SizeLimitError(f"cannot tabulate the trivial function: {k} results exceed the cap {ENUMERATION_CAP}")
+    return StandardizedFunctional(name="trivial", scenario=scenario, table=np.ones(k), is_trivial=True)
 
 
 def value_table(f: Functional | StandardizedFunctional) -> np.ndarray:
     """Dense K-vector of values ordered by the result encoding."""
-    if f.table is not None:
-        return f.table
-    k = result_space_size(f.scenario)
-    if k > ENUMERATION_CAP:
-        raise ValueError(f"cannot tabulate {f.name!r}: result space {k} exceeds the cap {ENUMERATION_CAP}")
-    ev = f.evaluate_r if isinstance(f, StandardizedFunctional) else f.evaluate
-    return np.array([ev(decode_result(f.scenario, i)) for i in range(k)], dtype=float)
+    return f.table
 
 
 def bounds_by_enumeration(f: Functional) -> tuple[float, float]:
@@ -116,13 +91,7 @@ def bounds_by_enumeration(f: Functional) -> tuple[float, float]:
 
 def expectation(f: Functional | StandardizedFunctional, dist: Distribution) -> float:
     """Expectation of the functional under a distribution on the same scenario."""
-    if f.table is not None:
-        return dist.expectation(f.table)
-    ev = f.evaluate_r if isinstance(f, StandardizedFunctional) else f.evaluate
-    total = 0.0
-    for i in dist.support():
-        total += dist.probs[i] * ev(decode_result(dist.scenario, int(i)))
-    return float(total)
+    return dist.expectation(f.table)
 
 
 def _table_functional(name: str, scenario: Scenario, table: np.ndarray, bound: float) -> Functional:
@@ -130,7 +99,6 @@ def _table_functional(name: str, scenario: Scenario, table: np.ndarray, bound: f
     return Functional(
         name=name,
         scenario=scenario,
-        evaluate=lambda x, _t=table, _sc=scenario: float(_t[encode_result(_sc, x)]),
         bound_B=float(bound),
         inf_b=float(table.min()),
         sup_a=float(table.max()),
@@ -244,10 +212,6 @@ def no_signaling_functionals(scenario: Scenario) -> list[Functional]:
 
 def functional_from_table(scenario: Scenario, values: np.ndarray, bound: float, name: str = "custom") -> Functional:
     """Wrap a K-length value table (ordered by the result encoding) with a declared bound."""
-    values = np.asarray(values, dtype=float)
-    k = result_space_size(scenario)
-    if values.shape != (k,):
-        raise ValueError(f"value table must have length {k}")
     return _table_functional(name, scenario, values, bound)
 
 

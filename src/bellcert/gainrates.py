@@ -25,24 +25,24 @@ from .optim import DEFAULT_CONTROLS, GainOptimum, OptimizerControls, kl_project_
 from .scenario import Distribution
 
 
-def gain_martingale(i_q: float, a: float, b: float, bound: float) -> float:
+def gain_martingale(i_q, a: float, b: float, bound: float):
     """Asymptotic rate of the mean-based certificate for mean i_q and range [b, a].
 
-    Returns 0 when i_q does not exceed the bound; at i_q = a the analytically
-    continued limit log2((a - b)/(B - b)) is used.
+    Returns 0 where i_q does not exceed the bound; at i_q = a the analytically
+    continued limit log2((a - b)/(B - b)) is used.  Elementwise on an array of
+    means (the running means of a certificate); a float mean gives a float.
     """
     if not (b < bound < a):
         raise ValueError(f"need b < B < a, got b={b}, B={bound}, a={a}")
-    if not (b <= i_q <= a):
-        raise ValueError(f"mean {i_q} outside the declared range [{b}, {a}]")
-    if i_q <= bound:
-        return 0.0
-    if i_q == a:
-        return math.log2((a - b) / (bound - b))
+    i = np.asarray(i_q, dtype=float)
+    outside = ~((b <= i) & (i <= a))
+    if np.any(outside):
+        raise ValueError(f"mean {i[outside].flat[0]} outside the declared range [{b}, {a}]")
     span = a - b
-    hi = (a - i_q) / span
-    lo = (i_q - b) / span
-    return hi * math.log2((a - i_q) / (a - bound)) + lo * math.log2((i_q - b) / (bound - b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = (a - i) / span * np.log2((a - i) / (a - bound)) + (i - b) / span * np.log2((i - b) / (bound - b))
+    rate = np.where(i <= bound, 0.0, np.where(i == a, math.log2((a - b) / (bound - b)), inner))
+    return float(rate) if rate.ndim == 0 else rate
 
 
 def gain_spbr(
@@ -57,14 +57,7 @@ def gain_spbr(
     if not functions or not functions[0].is_trivial:
         raise ValueError("functions must start with the trivial function")
     support = q.support()
-    r = np.empty((support.size, len(functions)))
-    for m, f in enumerate(functions):
-        if f.table is not None:
-            r[:, m] = f.table[support]
-        else:
-            from .scenario import decode_result
-
-            r[:, m] = [f.evaluate_r(decode_result(q.scenario, int(i))) for i in support]
+    r = np.column_stack([f.table[support] for f in functions])
     return maximize_log_gain(r, q.probs[support], controls)
 
 

@@ -24,19 +24,16 @@ PROJECTION_TABLE_CAP = 2**24
 
 @dataclass(frozen=True)
 class OptimizerControls:
-    """Iteration budget, relative objective tolerance, and optional frequency floor."""
+    """Iteration budget and relative objective tolerance."""
 
     max_iterations: int = 100_000
     rel_tolerance: float = 1e-10
-    floor: float = 0.0
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not self.rel_tolerance > 0.0:
             raise ValueError("rel_tolerance must be > 0")
-        if self.floor < 0.0:
-            raise ValueError("floor must be >= 0")
 
 
 DEFAULT_CONTROLS = OptimizerControls()

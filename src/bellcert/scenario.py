@@ -257,7 +257,11 @@ def read_trials(path: str | Path, scenario: Scenario) -> list[TrialResult]:
                 continue
             if not isinstance(obj, dict) or "settings" not in obj or "outcomes" not in obj:
                 raise TrialFormatError(f"{path}: line {lineno}: record must carry 'settings' and 'outcomes'")
-            trial = TrialResult(tuple(obj["settings"]), tuple(obj["outcomes"]))
+            fields = (obj["settings"], obj["outcomes"])
+            # JSON integers only: a float, bool or string would otherwise be coerced by int()
+            if not all(isinstance(v, list) and all(type(x) is int for x in v) for v in fields):
+                raise TrialFormatError(f"{path}: line {lineno}: 'settings' and 'outcomes' must be lists of integers")
+            trial = TrialResult(tuple(fields[0]), tuple(fields[1]))
             try:
                 trial.validate_for(scenario)
             except ValueError as exc:

@@ -14,23 +14,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .functionals import StandardizedFunctional, build_function_set, expectation, resolve_catalog_name
-from .gainrates import gain_martingale, gain_spbr, optimal_gain
+from .functionals import StandardizedFunctional, build_function_set
 from .optim import DEFAULT_CONTROLS, OptimizerControls
-from .protocols import (
-    FullPbrAnalysis,
-    MartingaleAnalysis,
-    SimplifiedPbrAnalysis,
-    run_full_pbr,
-    run_martingale,
-    run_simplified_pbr,
-)
+from .protocols import PROTOCOLS, get_protocol
 from .scenario import Distribution, TrialResult, decode_result
 
 # Algorithm identifier of the random source, recorded in every report header.
 GENERATOR_ID = "numpy-pcg64"
 
-PROTOCOL_NAMES = ("mart", "spbr", "fpbr")
+PROTOCOL_NAMES = tuple(PROTOCOLS)
 
 
 def sample_encoded(q: Distribution, n: int, seed: int) -> np.ndarray:
@@ -69,8 +61,7 @@ class SimulationPlan:
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
         for p in self.protocols:
-            if p not in PROTOCOL_NAMES:
-                raise ValueError(f"unknown protocol {p!r} (expected one of {PROTOCOL_NAMES})")
+            get_protocol(p)
 
 
 @dataclass
@@ -82,11 +73,7 @@ class ExperimentResult:
     rates: dict = field(default_factory=dict)
 
     def neg_log2_pvalue(self, protocol: str) -> float:
-        a = self.analyses[protocol]
-        if isinstance(a, MartingaleAnalysis):
-            f = a.functional
-            return a.n * gain_martingale(max(a.mean, f.bound_B), f.sup_a, f.inf_b, f.bound_B)
-        return max(a.log2_t, 0.0)
+        return self.analyses[protocol].neg_log2_pvalue
 
     def learning_offset(self, protocol: str) -> float:
         """Gap between the asymptote n * rate and the achieved -log2 p at the final n."""
@@ -114,28 +101,10 @@ def run_experiment(plan: SimulationPlan, out_dir: str | Path | None = None, per_
     functions = build_function_set(names, q.scenario)
     encoded = sample_encoded(q, plan.n_trials, plan.seed)
     result = ExperimentResult(plan=plan)
-
-    primary = None
-    for name in names:
-        resolved = resolve_catalog_name(name, q.scenario)
-        if resolved:
-            primary = resolved[0]
-            break
-    for protocol in plan.protocols:
-        if protocol == "mart":
-            if primary is None:
-                raise ValueError("martingale protocol needs at least one non-trivial functional")
-            result.analyses[protocol] = run_martingale(encoded, primary)
-            i_q = expectation(primary, q)
-            result.rates[protocol] = gain_martingale(
-                max(i_q, primary.bound_B), primary.sup_a, primary.inf_b, primary.bound_B
-            )
-        elif protocol == "spbr":
-            result.analyses[protocol] = run_simplified_pbr(encoded, functions, plan.block_size, plan.controls)
-            result.rates[protocol] = gain_spbr(q, functions, plan.controls).gain
-        else:
-            result.analyses[protocol] = run_full_pbr(encoded, q.scenario, plan.block_size, plan.controls, plan.floor)
-            result.rates[protocol] = optimal_gain(q, plan.controls)
+    for name in plan.protocols:
+        protocol = PROTOCOLS[name]
+        result.analyses[name] = protocol.run(encoded, functions, plan.block_size, plan.controls, plan.floor)
+        result.rates[name] = protocol.rate(q, functions, plan.controls)
 
     if out_dir is not None:
         write_reports(result, out_dir, per_block=per_block)
@@ -256,19 +225,12 @@ def validity_exceedance(
     controls = controls or OptimizerControls(max_iterations=300, rel_tolerance=1e-6)
     if functions is None:
         functions = build_function_set(_default_function_names(q_lr), q_lr.scenario)
-    primary = next((f.source for f in functions if f.source is not None), None)
+    runs = {p: get_protocol(p).run for p in protocols}
     counts = {p: {float(a): 0 for a in alphas} for p in protocols}
     for i in range(n_seeds):
         encoded = sample_encoded(q_lr, n_trials, base_seed + i)
-        for protocol in protocols:
-            if protocol == "mart":
-                if primary is None:
-                    raise ValueError("martingale protocol needs a non-trivial functional")
-                p_final = run_martingale(encoded, primary).pvalue
-            elif protocol == "spbr":
-                p_final = run_simplified_pbr(encoded, functions, block_size, controls).pvalue
-            else:
-                p_final = run_full_pbr(encoded, q_lr.scenario, block_size, controls, floor).pvalue
+        for protocol, run in runs.items():
+            p_final = run(encoded, functions, block_size, controls, floor).pvalue
             for a in counts[protocol]:
                 if p_final <= a:
                     counts[protocol][a] += 1

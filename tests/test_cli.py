@@ -165,3 +165,28 @@ def test_config_file_merging(tmp_path, capsys, trial_file):
     )
     assert rc == 0
     assert "protocol=mart" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"settings":[1.9,1],"outcomes":[0,1]}',
+        '{"settings":[true,1],"outcomes":[0,1]}',
+        '{"settings":"12","outcomes":[0,1]}',
+    ],
+)
+def test_analyze_refuses_non_integer_fields(tmp_path, capsys, record):
+    path = tmp_path / "coerced.jsonl"
+    path.write_text(record + "\n")
+    rc = main(["analyze", str(path), "--scenario", "2,2,2", "--protocol", "mart"])
+    assert rc == 2
+    assert "line 1" in capsys.readouterr().err
+
+
+def test_config_file_without_value_is_a_usage_error(trial_file, capsys):
+    path, _ = trial_file
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(path), "--scenario", "2,2,2", "--config-file"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--config-file" in err

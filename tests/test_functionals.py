@@ -13,6 +13,7 @@ from bellcert import (
     catalog_names,
     chsh_functional,
     cglmp_functional,
+    encode_result,
     expectation,
     functional_from_table,
     load_functional_file,
@@ -28,7 +29,7 @@ from oracles import enumerate_strategy_expectations
 
 
 def _eval_on(f, settings, outcomes):
-    return f.evaluate(TrialResult(settings, outcomes))
+    return f.table[encode_result(f.scenario, TrialResult(settings, outcomes))]
 
 
 def test_chsh_values(chsh_scenario):
@@ -51,17 +52,17 @@ def test_standardize_chsh(chsh_scenario):
     f = chsh_functional(chsh_scenario)
     r = standardize(f)
     x_max = TrialResult((1, 1), (0, 0))  # I = 4
-    assert r.evaluate_r(x_max) == pytest.approx((4.0 + 4.0) / 6.0)
+    assert r.table[encode_result(chsh_scenario, x_max)] == pytest.approx((4.0 + 4.0) / 6.0)
     x_min = TrialResult((2, 2), (0, 0))  # I = b
-    assert r.evaluate_r(x_min) == 0.0
+    assert r.table[encode_result(chsh_scenario, x_min)] == 0.0
 
 
 def test_standardize_boundary_values():
     sc = Scenario(1, 1, 3)
     f = functional_from_table(sc, np.array([-1.0, 0.5, 2.0]), bound=0.5)
     r = standardize(f)
-    assert r.evaluate_r(TrialResult((1,), (0,))) == 0.0  # I = b
-    assert r.evaluate_r(TrialResult((1,), (1,))) == 1.0  # I = B
+    assert _eval_on(r, (1,), (0,)) == 0.0  # I = b
+    assert _eval_on(r, (1,), (1,)) == 1.0  # I = B
 
 
 def test_standardize_undefined():
@@ -74,7 +75,7 @@ def test_standardize_undefined():
 def test_trivial_function(chsh_scenario):
     triv = trivial_standardized(chsh_scenario)
     assert triv.is_trivial
-    assert triv.evaluate_r(TrialResult((1, 1), (0, 0))) == 1.0
+    assert _eval_on(triv, (1, 1), (0, 0)) == 1.0
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -89,7 +90,7 @@ def test_cglmp_lr_bound_attained(d):
     sc = Scenario(2, 2, d)
     f = cglmp_functional(sc)
     vals = enumerate_strategy_expectations(
-        2, 2, d, lambda settings, outcomes: f.evaluate(TrialResult(settings, outcomes))
+        2, 2, d, lambda settings, outcomes: _eval_on(f, settings, outcomes)
     )
     assert max(vals) == pytest.approx(2.0, abs=1e-12)
 
@@ -132,7 +133,7 @@ def test_no_signaling_counts():
 def test_no_signaling_zero_on_strategies(chsh_scenario):
     for f in no_signaling_functionals(chsh_scenario):
         vals = enumerate_strategy_expectations(
-            2, 2, 2, lambda settings, outcomes: f.evaluate(TrialResult(settings, outcomes))
+            2, 2, 2, lambda settings, outcomes: _eval_on(f, settings, outcomes)
         )
         assert np.allclose(vals, 0.0, atol=1e-12)
         assert f.bound_B == 0.0
@@ -153,7 +154,7 @@ def test_catalog_lr_bound_property(chsh_scenario, cglmp3_scenario):
                     sc.parties,
                     sc.settings_per_party,
                     sc.outcomes_per_setting,
-                    lambda settings, outcomes, f=f: f.evaluate(TrialResult(settings, outcomes)),
+                    lambda settings, outcomes, f=f: _eval_on(f, settings, outcomes),
                 )
                 assert max(vals) <= f.bound_B + 1e-12
 
@@ -161,13 +162,13 @@ def test_catalog_lr_bound_property(chsh_scenario, cglmp3_scenario):
 def test_standardized_lr_expectation_at_most_one(chsh_scenario):
     r = standardize(chsh_functional(chsh_scenario))
     vals = enumerate_strategy_expectations(
-        2, 2, 2, lambda settings, outcomes: r.evaluate_r(TrialResult(settings, outcomes))
+        2, 2, 2, lambda settings, outcomes: _eval_on(r, settings, outcomes)
     )
     assert max(vals) <= 1.0 + 1e-12
     # all-outcomes-0 strategy: <I> = (4 + 4 + 4 - 4)/4 = 2, <r> = 1 exactly
     f = chsh_functional(chsh_scenario)
     strat_i = enumerate_strategy_expectations(
-        2, 2, 2, lambda settings, outcomes: f.evaluate(TrialResult(settings, outcomes))
+        2, 2, 2, lambda settings, outcomes: _eval_on(f, settings, outcomes)
     )[0]
     assert strat_i == pytest.approx(2.0, abs=1e-12)
     assert vals[0] == pytest.approx(1.0, abs=1e-12)

@@ -218,5 +218,3 @@ def test_controls_validation():
         OptimizerControls(max_iterations=0)
     with pytest.raises(ValueError):
         OptimizerControls(rel_tolerance=0.0)
-    with pytest.raises(ValueError):
-        OptimizerControls(floor=-1e-9)

@@ -22,6 +22,7 @@ from bellcert import (
     strategy_distribution,
     uniform_outcome_distribution,
 )
+from bellcert.protocols import get_protocol
 
 
 def test_pbr_pvalue_basics():
@@ -106,7 +107,7 @@ def test_run_martingale_all_max(chsh_scenario):
 
 def test_run_martingale_rejects_unbounded(chsh_scenario):
     f = chsh_functional(chsh_scenario)
-    bad = type(f)(name="bad", scenario=f.scenario, evaluate=f.evaluate, bound_B=5.0, inf_b=-4.0, sup_a=4.0, table=f.table)
+    bad = type(f)(name="bad", scenario=f.scenario, bound_B=5.0, inf_b=-4.0, sup_a=4.0, table=f.table)
     with pytest.raises(ValueError):
         run_martingale([], bad)
 
@@ -228,14 +229,51 @@ def test_fpbr_validation(chsh_scenario):
     with pytest.raises(ValueError):
         FullPbrAnalysis(chsh_scenario, floor=1.0)
     with pytest.raises(ValueError):
-        FullPbrAnalysis(chsh_scenario).update(-1)
+        FullPbrAnalysis(chsh_scenario).extend([-1])
 
 
-def test_fpbr_floor_falls_back_to_controls(chsh_scenario):
-    controls = OptimizerControls(floor=1e-6)
-    analysis = FullPbrAnalysis(chsh_scenario, controls=controls, floor=None)
-    assert analysis.floor == 1e-6
-    assert FullPbrAnalysis(chsh_scenario, floor=None).floor == 0.0
+def _run_named(protocol, trials, scenario, block_size=154):
+    d = scenario.outcomes_per_setting
+    functions = build_function_set(["chsh" if d == 2 else f"cglmp:{d}"], scenario)
+    return get_protocol(protocol).run(trials, functions, block_size, OptimizerControls(), 1e-9)
+
+
+@pytest.mark.parametrize("protocol", ["mart", "spbr", "fpbr"])
+@pytest.mark.parametrize("bad", [16, -1, 2**40])
+def test_out_of_range_indices_raise(chsh_scenario, protocol, bad):
+    with pytest.raises(ValueError):
+        _run_named(protocol, np.array([3, bad, 0], dtype=np.int64), chsh_scenario)
+
+
+@pytest.mark.parametrize("protocol", ["mart", "spbr", "fpbr"])
+def test_chunked_extend_matches_one_call(chsh_q, protocol):
+    block = 40
+    enc = sample_encoded(chsh_q, 700, seed=8)
+    whole = _run_named(protocol, enc, chsh_q.scenario, block)
+    for size in (1, 7, block, 3 * block + 5):
+        chunked = _run_named(protocol, enc[:0], chsh_q.scenario, block)
+        for start in range(0, enc.size, size):
+            chunked.extend(enc[start : start + size])
+        assert chunked.n == whole.n
+        assert np.array_equal(chunked.history(), whole.history())
+        assert chunked.pvalue == whole.pvalue == whole.history()[-1, 2]
+
+
+# Final values at the parent of the single-engine refactor, which scored one trial at a time.
+PINNED_CGLMP3 = {
+    "mart": (2.8536, 2.9232, 2.9476),
+    "spbr": (576.3921089917628, 689.098610192292, 708.7880830377817),
+    "fpbr": (446.15351234948866, 574.5706004611369, 588.470154098735),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cglmp3_final_values_pinned(cglmp3_q, seed):
+    enc = sample_encoded(cglmp3_q, 10_000, seed=seed)
+    assert _run_named("mart", enc, cglmp3_q.scenario).mean == PINNED_CGLMP3["mart"][seed]
+    for protocol in ("spbr", "fpbr"):
+        log2_t = _run_named(protocol, enc, cglmp3_q.scenario).log2_t
+        assert log2_t == pytest.approx(PINNED_CGLMP3[protocol][seed], rel=1e-12), protocol
 
 
 def test_lr_data_keeps_pvalues_near_one(chsh_scenario):
