@@ -22,7 +22,7 @@ from .functionals import (
 )
 from .optim import OptimizerControls
 from .protocols import get_protocol
-from .scenario import Scenario, _check_same_scenario, encode_trials, read_distribution, read_trials, write_distribution
+from .scenario import Scenario, _check_same_scenario, read_distribution, read_trials, write_distribution
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -90,13 +90,12 @@ def _resolve_names(names, scenario):
 
 def cmd_analyze(args) -> int:
     scenario = _parse_scenario(args.scenario)
-    trials = read_trials(args.trials_file, scenario)
-    if not trials:
+    encoded = read_trials(args.trials_file, scenario)
+    if encoded.size == 0:
         raise ScenarioMismatchError(f"{args.trials_file}: no trial records")
     names = [n for n in args.functions.split(",") if n]
     functions = [trivial_standardized(scenario)] + [standardize(f) for f in _resolve_names(names, scenario)]
     protocols = {name: get_protocol(name) for name in (p.strip() for p in args.protocol.split(","))}
-    encoded = encode_trials(scenario, trials)
     controls = _controls(args)
     analyses = {
         name: protocol.run(encoded, functions, args.block, controls, args.floor) for name, protocol in protocols.items()
@@ -197,27 +196,28 @@ def cmd_catalog(args) -> int:
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:
-    # config file supplies defaults; explicit flags override
-    if "--config-file" not in argv:
+    # config file supplies defaults; explicit flags (``--flag v`` or ``--flag=v``) override
+    flags = [a.partition("=")[0] for a in argv]
+    if "--config-file" not in flags:
         return argv
-    i = argv.index("--config-file")
+    i = flags.index("--config-file")
+    if argv[i] != "--config-file":  # the --config-file=PATH form
+        argv = argv[:i] + ["--config-file", argv[i].partition("=")[2]] + argv[i + 1 :]
     if i + 1 == len(argv):
         return argv  # the parser reports the missing value
-    path = argv[i + 1]
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(argv[i + 1], "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
-    head = argv[: i + 2]
     injected: list[str] = []
     for key, value in cfg.items():
         flag = f"--{key.replace('_', '-')}"
-        if flag in argv:
+        if flag in flags:
             continue
         if isinstance(value, bool):
             if value:
                 injected.append(flag)
         else:
             injected.extend([flag, str(value)])
-    return head + injected + argv[i + 2 :]
+    return argv[: i + 2] + injected + argv[i + 2 :]
 
 
 def build_parser() -> argparse.ArgumentParser:

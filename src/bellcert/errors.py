@@ -10,7 +10,7 @@ class SizeLimitError(BellcertError):
 
 
 class ScenarioMismatchError(BellcertError):
-    """Data refers to a different scenario than the one supplied."""
+    """Data does not fit the scenario supplied: another scenario, or a declared LR bound below its true maximum."""
 
 
 class TrialFormatError(BellcertError):

@@ -14,16 +14,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SizeLimitError, StandardizationError, TrialFormatError, UnknownFunctionalError
-from .scenario import ENUMERATION_CAP, Distribution, Scenario, result_space_size, scenario_from_json
+from .errors import ScenarioMismatchError, SizeLimitError, StandardizationError, TrialFormatError, UnknownFunctionalError
+from .lrpolytope import STRATEGY_CAP, strategy_count, vertex_expectations
+from .scenario import ENUMERATION_CAP, Distribution, Scenario, _frozen, result_space_size, scenario_from_json
 
 
 def _frozen_table(scenario: Scenario, table: np.ndarray) -> np.ndarray:
-    t = np.asarray(table, dtype=float)
+    t = _frozen(table)
     k = result_space_size(scenario)
     if t.shape != (k,):
         raise ValueError(f"value table must have length {k}")
-    t.flags.writeable = False
     return t
 
 
@@ -216,14 +216,24 @@ def functional_from_table(scenario: Scenario, values: np.ndarray, bound: float, 
 
 
 def load_functional_file(path: str | Path) -> Functional:
-    """Read a custom functional file ``{"scenario": .., "B": .., "values": [..]}``."""
+    """Read a custom functional file ``{"scenario": .., "B": .., "values": [..]}``.
+
+    Where the deterministic strategies can be enumerated, a bound B below the
+    largest strategy expectation (beyond 1e-9 of the table's largest
+    magnitude) is refused: every p-value computed with it would be invalid.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     for key in ("scenario", "B", "values"):
         if key not in obj:
             raise TrialFormatError(f"{path}: functional file must carry {key!r}")
     scenario = scenario_from_json(obj["scenario"])
-    return functional_from_table(scenario, np.asarray(obj["values"], dtype=float), float(obj["B"]), str(obj.get("name", "custom")))
+    f = functional_from_table(scenario, np.asarray(obj["values"], dtype=float), float(obj["B"]), str(obj.get("name", "custom")))
+    if strategy_count(scenario) <= STRATEGY_CAP:
+        top = float(vertex_expectations(scenario, f.table).max())
+        if f.bound_B < top - 1e-9 * float(np.abs(f.table).max()):
+            raise ScenarioMismatchError(f"{path}: declared bound B={f.bound_B:.12g} is below the LR maximum {top:.12g}")
+    return f
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ arrays indexed by that encoding.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -23,7 +24,8 @@ ENUMERATION_CAP = 2**24
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+    """A read-only float copy; the caller's array stays writeable."""
+    a = np.array(a, dtype=float, order="C")
     a.flags.writeable = False
     return a
 
@@ -240,34 +242,47 @@ def _check_same_scenario(found: Scenario, expected: Scenario, where: str) -> Non
         raise ScenarioMismatchError(f"{where}: scenario in file does not match the one supplied")
 
 
-def read_trials(path: str | Path, scenario: Scenario) -> list[TrialResult]:
-    """Read a trial-record file (one JSON object per line, optional scenario header)."""
-    trials: list[TrialResult] = []
+# Distinct line texts remembered by read_trials; keeps its memory bounded when every line differs.
+LINE_CACHE_SIZE = 2**16
+
+
+def read_trials(path: str | Path, scenario: Scenario) -> np.ndarray:
+    """Read a trial-record file (one JSON object per line, optional scenario header) as int64 result indices.
+
+    Each distinct line text is parsed and validated once; a repeat of a valid
+    record is one dictionary lookup.  :func:`decode_result` turns an index
+    back into its :class:`TrialResult`.
+    """
+    codes: dict[str, int] = {}
+    out = array("q")
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TrialFormatError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
-            if lineno == 1 and isinstance(obj, dict) and "scenario" in obj:
-                _check_same_scenario(scenario_from_json(obj["scenario"]), scenario, f"{path}: line 1")
-                continue
-            if not isinstance(obj, dict) or "settings" not in obj or "outcomes" not in obj:
-                raise TrialFormatError(f"{path}: line {lineno}: record must carry 'settings' and 'outcomes'")
-            fields = (obj["settings"], obj["outcomes"])
-            # JSON integers only: a float, bool or string would otherwise be coerced by int()
-            if not all(isinstance(v, list) and all(type(x) is int for x in v) for v in fields):
-                raise TrialFormatError(f"{path}: line {lineno}: 'settings' and 'outcomes' must be lists of integers")
-            trial = TrialResult(tuple(fields[0]), tuple(fields[1]))
-            try:
-                trial.validate_for(scenario)
-            except ValueError as exc:
-                raise TrialFormatError(f"{path}: line {lineno}: {exc}") from exc
-            trials.append(trial)
-    return trials
+            code = codes.get(raw)
+            if code is None:
+                line = raw.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise TrialFormatError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+                if lineno == 1 and isinstance(obj, dict) and "scenario" in obj:
+                    _check_same_scenario(scenario_from_json(obj["scenario"]), scenario, f"{path}: line 1")
+                    continue
+                if not isinstance(obj, dict) or "settings" not in obj or "outcomes" not in obj:
+                    raise TrialFormatError(f"{path}: line {lineno}: record must carry 'settings' and 'outcomes'")
+                fields = (obj["settings"], obj["outcomes"])
+                # JSON integers only: a float, bool or string would otherwise be coerced by int()
+                if not all(isinstance(v, list) and all(type(x) is int for x in v) for v in fields):
+                    raise TrialFormatError(f"{path}: line {lineno}: 'settings' and 'outcomes' must be lists of integers")
+                try:
+                    code = encode_result(scenario, TrialResult(tuple(fields[0]), tuple(fields[1])))
+                except ValueError as exc:
+                    raise TrialFormatError(f"{path}: line {lineno}: {exc}") from exc
+                if len(codes) < LINE_CACHE_SIZE:  # only valid records are remembered
+                    codes[raw] = code
+            out.append(code)
+    return np.frombuffer(out, dtype=np.int64)
 
 
 def write_trials(path: str | Path, scenario: Scenario, trials: Iterable[TrialResult], header: bool = True) -> None:

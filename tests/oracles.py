@@ -6,6 +6,7 @@ the package code paths it is used to verify.
 """
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
@@ -152,3 +153,18 @@ def chsh_angle_oracle(theta, coarse=17, refine_rounds=60):
             best[i], best_val = x, v
         width = max(width * 0.7, 1e-9)
     return best_val
+
+
+def write_report_reference(path, analysis, header_lines=(), per_block=False, block_size=1):
+    """Running report written row by row through ``csv.writer``: the byte layout reports must keep."""
+    hist = analysis.history()
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for line in header_lines:
+            fh.write(line + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(["n", "statistic", "p_value"])
+        for i in range(hist.shape[0]):
+            n = int(hist[i, 0])
+            if per_block and n % block_size != 0 and n != hist.shape[0]:
+                continue
+            writer.writerow([n, f"{hist[i, 1]:.12g}", f"{hist[i, 2]:.12g}"])

@@ -190,3 +190,32 @@ def test_config_file_without_value_is_a_usage_error(trial_file, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "--config-file" in err
+
+
+@pytest.mark.parametrize("equals_form", [False, True])
+def test_config_file_both_forms(tmp_path, capsys, trial_file, equals_form):
+    path, _ = trial_file
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"protocol": "spbr"}))
+    flag = [f"--config-file={cfg}"] if equals_form else ["--config-file", str(cfg)]
+    rc = main(["analyze", str(path), "--scenario", "2,2,2", "--functions", "chsh", *flag])
+    assert rc == 0
+    runs = [l.split()[0] for l in capsys.readouterr().out.splitlines() if l.startswith("protocol=")]
+    assert runs == ["protocol=spbr"]
+    # an explicit --flag=value also wins over the config file
+    rc = main(["analyze", str(path), "--scenario", "2,2,2", "--functions", "chsh", *flag, "--protocol=mart"])
+    assert rc == 0
+    runs = [l.split()[0] for l in capsys.readouterr().out.splitlines() if l.startswith("protocol=")]
+    assert runs == ["protocol=mart"]
+
+
+def test_analyze_refuses_an_understated_functional_bound(tmp_path, capsys, trial_file):
+    from bellcert import chsh_functional
+
+    path, _ = trial_file
+    func_path = tmp_path / "custom.json"
+    values = list(chsh_functional(Scenario(2, 2, 2)).table)
+    func_path.write_text(json.dumps({"scenario": {"l": 2, "s": 2, "d": 2}, "B": 1.5, "values": values}))
+    rc = main(["analyze", str(path), "--scenario", "2,2,2", "--functions", f"file:{func_path}", "--protocol", "mart"])
+    assert rc == 3
+    assert "below the LR maximum" in capsys.readouterr().err

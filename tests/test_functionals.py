@@ -5,6 +5,7 @@ import pytest
 
 from bellcert import (
     Scenario,
+    ScenarioMismatchError,
     StandardizationError,
     TrialResult,
     UnknownFunctionalError,
@@ -218,3 +219,37 @@ def test_functional_file_roundtrip(tmp_path, chsh_scenario):
 
     with pytest.raises(TrialFormatError):
         load_functional_file(path)
+
+
+def test_table_functional_keeps_the_callers_array_writeable():
+    a = np.array([1.0, -1.0, 3.0, 0.0])
+    f = functional_from_table(Scenario(1, 2, 2), a, 2.5)
+    assert a.flags.writeable and not f.table.flags.writeable
+    a[0] = 9.0
+    assert f.table[0] == 1.0
+
+
+def _functional_file(path, bound, values):
+    path.write_text(json.dumps({"scenario": {"l": 2, "s": 2, "d": 2}, "B": bound, "values": list(values)}))
+    return path
+
+
+@pytest.mark.parametrize("bound", [2.0, 2.0 - 1e-12, 3.0])
+def test_functional_file_accepts_an_honest_bound(tmp_path, chsh_scenario, bound):
+    f = chsh_functional(chsh_scenario)
+    assert load_functional_file(_functional_file(tmp_path / "f.json", bound, f.table)).bound_B == bound
+
+
+@pytest.mark.parametrize("bound", [1.9, 2.0 - 1e-6])
+def test_functional_file_refuses_an_understated_bound(tmp_path, chsh_scenario, bound):
+    f = chsh_functional(chsh_scenario)
+    with pytest.raises(ScenarioMismatchError, match="below the LR maximum 2"):
+        load_functional_file(_functional_file(tmp_path / "f.json", bound, f.table))
+
+
+def test_functional_file_bound_check_on_a_zero_maximum(tmp_path, chsh_scenario):
+    # a no-signaling witness has LR maximum 0 up to rounding; B = 0 is honest, B < 0 is not
+    ns = no_signaling_functionals(chsh_scenario)[0]
+    assert load_functional_file(_functional_file(tmp_path / "f.json", 0.0, ns.table)).bound_B == 0.0
+    with pytest.raises(ScenarioMismatchError):
+        load_functional_file(_functional_file(tmp_path / "f.json", -0.01, ns.table))

@@ -147,19 +147,22 @@ def test_trials_roundtrip(tmp_path, chsh_scenario, chsh_q):
     path = tmp_path / "trials.jsonl"
     write_trials(path, chsh_scenario, trials)
     back = read_trials(path, chsh_scenario)
-    assert back == trials
+    assert back.dtype == np.int64
+    assert np.array_equal(back, encode_trials(chsh_scenario, trials))
 
 
 def test_trials_empty_file(tmp_path, chsh_scenario):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
-    assert read_trials(path, chsh_scenario) == []
+    back = read_trials(path, chsh_scenario)
+    assert back.dtype == np.int64 and np.array_equal(back, encode_trials(chsh_scenario, []))
 
 
 def test_trials_single_line(tmp_path, chsh_scenario):
     path = tmp_path / "one.jsonl"
     path.write_text('{"settings":[1,2],"outcomes":[0,1]}\n')
-    assert read_trials(path, chsh_scenario) == [TrialResult((1, 2), (0, 1))]
+    back = read_trials(path, chsh_scenario)
+    assert np.array_equal(back, encode_trials(chsh_scenario, [TrialResult((1, 2), (0, 1))]))
 
 
 def test_trials_malformed_line_reports_number(tmp_path, chsh_scenario):
@@ -216,3 +219,14 @@ def test_array_bearing_types_compare_by_identity(chsh_q):
     assert a == a and a != b
     assert chsh_q == chsh_q
     assert chsh_q != Distribution(a, chsh_q.probs)
+
+
+def test_frozen_arrays_are_copies(chsh_q):
+    dist = np.array([0.4, 0.1, 0.3, 0.2])
+    sc = Scenario(2, 2, 2, dist)
+    probs = np.array(chsh_q.probs)
+    q = Distribution(chsh_q.scenario, probs)
+    assert dist.flags.writeable and probs.flags.writeable
+    assert not sc.setting_distribution.flags.writeable and not q.probs.flags.writeable
+    dist[0], probs[0] = 9.0, 9.0
+    assert sc.setting_distribution[0] == 0.4 and q.probs[0] == chsh_q.probs[0]

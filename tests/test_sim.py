@@ -15,6 +15,9 @@ from bellcert import (
     uniform_outcome_distribution,
     validity_exceedance,
 )
+from bellcert.sim import REPORT_CHUNK, write_report
+
+from oracles import write_report_reference
 
 
 def test_sample_empty(chsh_q):
@@ -110,3 +113,37 @@ def test_validity_exceedance_smoke(chsh_scenario):
     for protocol, table in rates.items():
         for alpha, rate in table.items():
             assert 0.0 <= rate <= alpha + 3.0 * math.sqrt(alpha / 40.0) + 1e-12, protocol
+
+
+class _History:
+    """Stand-in analysis whose history is a given (n, statistic, p_value) table."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def history(self):
+        return self.rows
+
+
+def _history_rows(n: int, seed: int) -> np.ndarray:
+    # special values the report spelling must keep, mixed with doubles over the whole exponent range
+    special = np.array([np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.0, np.nan, 1e-300, -2.5e17, 123456789012.5])
+    rng = np.random.default_rng(seed)
+    values = np.where(
+        rng.random((n, 2)) < 0.4,
+        rng.choice(special, size=(n, 2)),
+        rng.choice([-1.0, 1.0], size=(n, 2)) * 10.0 ** rng.uniform(-320, 308, size=(n, 2)),
+    )
+    return np.column_stack([np.arange(1, n + 1), values])
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, REPORT_CHUNK, 2 * REPORT_CHUNK + 455])
+@pytest.mark.parametrize("per_block", [False, True])
+@pytest.mark.parametrize("block_size", [1, 7, 154])
+def test_write_report_matches_csv_reference(tmp_path, n, per_block, block_size):
+    analysis = _History(_history_rows(n, seed=n + block_size))
+    header = ["# generator=x seed=1", "# protocol=spbr trials=3 block=7 scenario=2,2,2"]
+    for lines in ((), header):
+        write_report(tmp_path / "new.csv", analysis, lines, per_block=per_block, block_size=block_size)
+        write_report_reference(tmp_path / "ref.csv", analysis, lines, per_block=per_block, block_size=block_size)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
