@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import gainrates, quantum, sim
-from .errors import ScenarioMismatchError, SizeLimitError, TrialFormatError, UnknownFunctionalError
+from .errors import BellcertError, ScenarioMismatchError, TrialFormatError, UnknownFunctionalError
 from .functionals import (
     catalog_names,
     load_functional_file,
@@ -62,11 +62,7 @@ def _named_distribution(name: str):
 
 
 def _source_distribution(args):
-    if args.config:
-        return _named_distribution(args.config)
-    if args.dist:
-        return read_distribution(args.dist)
-    raise TrialFormatError("either --config or --dist is required")
+    return _named_distribution(args.config) if args.config is not None else read_distribution(args.dist)
 
 
 def _print_flags(analyses: dict) -> None:
@@ -146,23 +142,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_gain(args) -> int:
-    controls = _controls(args)
     if args.sweep:
-        values = _parse_values(args.d if args.sweep == "cglmp" else args.theta)
-        reports = gainrates.gain_curve(
-            args.sweep, values, include_optimal=args.with_sq, include_nosignaling=not args.no_ns, controls=controls
-        )
+        kind, values = args.sweep, _parse_values(args.d if args.sweep == "cglmp" else args.theta)
     else:
-        source = args.config or ""
-        kind, _, arg = source.partition(":")
-        if kind == "cglmp":
-            reports = gainrates.gain_curve("cglmp", [int(arg)], include_optimal=args.with_sq, controls=controls)
-        elif kind == "chsh":
-            reports = gainrates.gain_curve(
-                "chsh", [float(arg)], include_optimal=args.with_sq, include_nosignaling=not args.no_ns, controls=controls
-            )
-        else:
-            raise UnknownFunctionalError(f"unknown gain config {source!r}")
+        kind, _, arg = args.config.partition(":")
+        values = [arg]
+    reports = gainrates.gain_curve(
+        kind, values, include_optimal=args.with_sq, include_nosignaling=not args.no_ns, controls=_controls(args)
+    )
     lines = ["parameter,mean_value,gain_mart,gain_spbr,gain_spbr_extended,optimal"]
     for r in reports:
         ext = "" if r.gain_spbr_extended is None else f"{r.gain_spbr_extended:.10g}"
@@ -196,7 +183,8 @@ def cmd_catalog(args) -> int:
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:
-    # config file supplies defaults; explicit flags (``--flag v`` or ``--flag=v``) override
+    # config entries become flags placed right after the subcommand; argparse keeps the
+    # last value it sees, so every flag on the command line wins, however it is spelled
     flags = [a.partition("=")[0] for a in argv]
     if "--config-file" not in flags:
         return argv
@@ -210,27 +198,28 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     injected: list[str] = []
     for key, value in cfg.items():
         flag = f"--{key.replace('_', '-')}"
-        if flag in flags:
-            continue
         if isinstance(value, bool):
             if value:
                 injected.append(flag)
         else:
             injected.extend([flag, str(value)])
-    return argv[: i + 2] + injected + argv[i + 2 :]
+    return argv[:1] + injected + argv[1:]
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bellcert", description="p-value certificates against local realism")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--tol", type=float, default=1e-10, help="optimizer relative tolerance")
-        p.add_argument("--max-iter", type=int, default=100_000, help="optimizer iteration budget")
-        p.add_argument("--floor", type=float, default=1e-9, help="frequency floor for the full protocol")
-        p.add_argument("--block", type=int, default=154, help="trials per prediction update")
+    def common(p, optimizer: bool, protocol: bool):
+        # each command gets only the shared flags it reads
+        if optimizer:
+            p.add_argument("--tol", type=float, default=1e-10, help="optimizer relative tolerance")
+            p.add_argument("--max-iter", type=int, default=100_000, help="optimizer iteration budget")
+        if protocol:
+            p.add_argument("--floor", type=float, default=1e-9, help="frequency floor for the full protocol")
+            p.add_argument("--block", type=int, default=154, help="trials per prediction update")
+            p.add_argument("--per-block", action="store_true", help="report one row per block instead of per trial")
         p.add_argument("--out", default=None, help="output file or directory")
-        p.add_argument("--per-block", action="store_true", help="report one row per block instead of per trial")
         p.add_argument("--config-file", default=None, help="JSON file of defaults for these flags")
 
     p = sub.add_parser("analyze", help="run protocols on a recorded trial file")
@@ -238,33 +227,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, help="l,s,d")
     p.add_argument("--functions", default="chsh", help="comma list of catalog names")
     p.add_argument("--protocol", default="mart,spbr", help="comma list from mart,spbr,fpbr")
-    common(p)
+    common(p, optimizer=True, protocol=True)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("simulate", help="sample a quantum configuration and run protocols")
-    p.add_argument("--config", default=None, help="chsh:<theta> or cglmp:<d>")
-    p.add_argument("--dist", default=None, help="distribution file to sample instead")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="chsh:<theta> or cglmp:<d>")
+    source.add_argument("--dist", help="distribution file to sample instead")
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--seeds", type=int, default=1, help="number of consecutive seeds to fan out")
     p.add_argument("--functions", default=None, help="comma list of catalog names (default from config)")
     p.add_argument("--protocol", default="mart,spbr,fpbr")
-    common(p)
+    common(p, optimizer=True, protocol=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("gain", help="emit gain-rate tables")
-    p.add_argument("--config", default=None, help="single configuration, e.g. cglmp:3")
-    p.add_argument("--sweep", default=None, choices=["cglmp", "chsh"])
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="single configuration, e.g. cglmp:3")
+    source.add_argument("--sweep", choices=["cglmp", "chsh"])
     p.add_argument("--d", default="2..7", help="outcome counts for --sweep cglmp (range or comma list)")
     p.add_argument("--theta", default="0.19634954,0.39269908,0.58904862", help="angles for --sweep chsh")
     p.add_argument("--with-sq", action="store_true", help="include the optimal (projection) rate")
     p.add_argument("--no-ns", action="store_true", help="skip the no-signaling column on chsh sweeps")
-    common(p)
+    common(p, optimizer=True, protocol=False)
     p.set_defaults(func=cmd_gain)
 
     p = sub.add_parser("quantum", help="emit the trial distribution of a named configuration")
     p.add_argument("--config", required=True, help="chsh:<theta> or cglmp:<d>")
-    common(p)
+    common(p, optimizer=False, protocol=False)
     p.set_defaults(func=cmd_quantum)
 
     p = sub.add_parser("catalog", help="list catalog functional names for a scenario")
@@ -281,13 +272,10 @@ def main(argv: list[str] | None = None) -> int:
         argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
         return args.func(args)
-    except (TrialFormatError, UnknownFunctionalError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ScenarioMismatchError,) as exc:
+    except ScenarioMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except (SizeLimitError, ValueError) as exc:
+    except (BellcertError, ValueError, OSError) as exc:  # ValueError includes json.JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - defensive

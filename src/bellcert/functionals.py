@@ -228,7 +228,10 @@ def load_functional_file(path: str | Path) -> Functional:
         if key not in obj:
             raise TrialFormatError(f"{path}: functional file must carry {key!r}")
     scenario = scenario_from_json(obj["scenario"])
-    f = functional_from_table(scenario, np.asarray(obj["values"], dtype=float), float(obj["B"]), str(obj.get("name", "custom")))
+    values, bound = np.asarray(obj["values"], dtype=float), float(obj["B"])
+    if not (np.all(np.isfinite(values)) and np.isfinite(bound)):
+        raise TrialFormatError(f"{path}: 'B' and 'values' must be finite numbers")
+    f = functional_from_table(scenario, values, bound, str(obj.get("name", "custom")))
     if strategy_count(scenario) <= STRATEGY_CAP:
         top = float(vertex_expectations(scenario, f.table).max())
         if f.bound_B < top - 1e-9 * float(np.abs(f.table).max()):

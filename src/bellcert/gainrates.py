@@ -56,9 +56,7 @@ def gain_spbr(
     """
     if not functions or not functions[0].is_trivial:
         raise ValueError("functions must start with the trivial function")
-    support = q.support()
-    r = np.column_stack([f.table[support] for f in functions])
-    return maximize_log_gain(r, q.probs[support], controls)
+    return maximize_log_gain(np.column_stack([f.table for f in functions]), q.probs, controls)
 
 
 def optimal_gain(q: Distribution, controls: OptimizerControls = DEFAULT_CONTROLS) -> float:
@@ -130,5 +128,5 @@ def gain_curve(
         for theta in values:
             reports.append(_chsh_report(float(theta), include_nosignaling, include_optimal, controls))
     else:
-        raise ValueError(f"unknown sweep {sweep!r} (expected 'cglmp' or 'chsh')")
+        raise ValueError(f"unknown configuration family {sweep!r} (expected 'cglmp' or 'chsh')")
     return reports

@@ -95,12 +95,15 @@ def mixture_distribution(scenario: Scenario, weights: np.ndarray) -> Distributio
     lam = np.asarray(weights, dtype=float)
     if lam.shape != (h,):
         raise ValueError(f"weights must have length {h}")
-    if np.any(lam < 0.0) or abs(float(lam.sum()) - 1.0) > 1e-10:
+    if not (np.all(lam >= 0.0) and abs(float(lam.sum()) - 1.0) <= 1e-10):
         raise ValueError("weights must be non-negative and sum to 1 within 1e-10")
     indices, w = strategy_result_indices(scenario)
-    k = result_space_size(scenario)
-    probs = np.bincount(indices.ravel(), weights=(lam[:, None] * w[None, :]).ravel(), minlength=k)
-    return Distribution(scenario, probs)
+    return Distribution(scenario, _mixture_probs(indices, w, lam, result_space_size(scenario)))
+
+
+def _mixture_probs(indices: np.ndarray, setting_w: np.ndarray, lam: np.ndarray, k: int) -> np.ndarray:
+    """Result probabilities of the strategy mixture lam, from the index map of :func:`strategy_result_indices`."""
+    return np.bincount(indices.ravel(), weights=(lam[:, None] * setting_w[None, :]).ravel(), minlength=k)
 
 
 def vertex_expectations(scenario: Scenario, values: np.ndarray) -> np.ndarray:

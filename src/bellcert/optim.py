@@ -1,11 +1,12 @@
 """The two convex optimizers behind the weighted protocols.
 
-Both are multiplicative (expectation-maximization style) updates on a
-probability simplex: log-gain maximization over function weights, and
-Kullback-Leibler projection of a distribution onto the local-realistic
-polytope.  Each update preserves the simplex exactly and never drives an
-interior iterate to the boundary, so objectives are monotone and no observed
-support point can be assigned zero mass along the way.
+Both maximize the expected log of a non-negative mixture over simplex
+weights, by one multiplicative (expectation-maximization style) update:
+log-gain maximization over function weights, and Kullback-Leibler projection
+of a distribution onto the local-realistic polytope, a mixture of the
+deterministic strategies.  Each update preserves the simplex exactly and
+never drives an interior iterate to the boundary, so objectives are monotone
+and no observed support point can be assigned zero mass along the way.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ScenarioMismatchError, SizeLimitError
-from .lrpolytope import strategy_count, strategy_result_indices
+from .lrpolytope import _mixture_probs, strategy_count, strategy_result_indices
 from .scenario import Distribution, Scenario, result_space_size
 
 # Dense (strategies x support) work arrays are capped at this many entries.
@@ -69,11 +70,41 @@ def _check_gain_inputs(r_values: np.ndarray, freq: np.ndarray) -> tuple[np.ndarr
         raise ValueError("r_values must be a (support points x functions) table")
     if f.shape != (r.shape[0],):
         raise ValueError(f"freq must have length {r.shape[0]}")
-    if np.any(r < 0.0):
+    if not np.all(r >= 0.0):
         raise ValueError("standardized function values must be non-negative")
-    if np.any(f < 0.0) or abs(float(f.sum()) - 1.0) > 1e-9:
+    if not (np.all(f >= 0.0) and abs(float(f.sum()) - 1.0) <= 1e-9):
         raise ValueError("freq must be a probability assignment over the support points")
     return r, f
+
+
+def _multiplicative_update(
+    table: np.ndarray, freq: np.ndarray, weights: np.ndarray, objective, controls: OptimizerControls, slack=None
+) -> tuple[np.ndarray, float, int, bool]:
+    """The loop of both optimizers: maximize ``objective(mix, freq / mix)``, ``mix = table @ weights``.
+
+    ``table`` is (support points x components), ``freq`` positive, and
+    ``weights`` simplex weights that keep ``mix`` positive.  The update
+    ``w <- w * (table.T @ (freq / mix))``, renormalized, never decreases the
+    objective.  A solve converges when an iterate gains at most
+    ``rel_tolerance`` (relative) and, with ``slack``, no update factor exceeds
+    ``1 + slack``.  Returns ``(weights, objective, iterations, converged)``.
+    """
+    prev = -math.inf
+    for it in range(1, controls.max_iterations + 1):
+        mix = table @ weights
+        ratio = freq / mix
+        value = objective(mix, ratio)
+        factor = table.T @ ratio
+        if (
+            it > 1
+            and value - prev <= controls.rel_tolerance * max(1.0, abs(value))
+            and (slack is None or float(factor.max()) <= 1.0 + slack)
+        ):
+            return weights, value, it, True
+        prev = value
+        weights = weights * factor
+        weights = weights / weights.sum()
+    return weights, value, controls.max_iterations, False
 
 
 def log_gain(weights: np.ndarray, r_values: np.ndarray, freq: np.ndarray) -> float:
@@ -110,18 +141,9 @@ def maximize_log_gain(
     active = f > 0.0
     r, f = r[active], f[active]
     m = r.shape[1]
-    w = np.full(m, 1.0 / m)
-    prev = -math.inf
-    gain = 0.0
-    for it in range(1, controls.max_iterations + 1):
-        mix = r @ w
-        gain = float(np.dot(f, np.log2(mix)))
-        if it > 1 and gain - prev <= controls.rel_tolerance * max(1.0, abs(gain)):
-            return GainOptimum(w, gain, it, True)
-        prev = gain
-        w = w * (r.T @ (f / mix))
-        w = w / w.sum()
-    return GainOptimum(w, gain, controls.max_iterations, False)
+    return GainOptimum(
+        *_multiplicative_update(r, f, np.full(m, 1.0 / m), lambda mix, ratio: float(np.dot(f, np.log2(mix))), controls)
+    )
 
 
 def kl_divergence(q: Distribution, p: Distribution) -> float:
@@ -161,6 +183,16 @@ def kl_project_lr(
         raise ScenarioMismatchError("q does not live on the supplied scenario's result space")
     h = strategy_count(scenario)
     k = result_space_size(scenario)
+    if warm_start is not None:
+        lam = np.asarray(warm_start, dtype=float)
+        if lam.shape != (h,):
+            raise ValueError(f"warm_start must have length {h}")
+        if not (np.all(lam >= 0.0) and abs(float(lam.sum()) - 1.0) <= 1e-9):
+            raise ValueError("warm_start must be simplex weights")
+        # keep every strategy reachable by the multiplicative update
+        lam = (1.0 - 1e-12) * lam + 1e-12 / h
+    else:
+        lam = np.full(h, 1.0 / h)
     indices, setting_w = strategy_result_indices(scenario)
     support = np.flatnonzero(q.probs)
     if h * support.size > PROJECTION_TABLE_CAP:
@@ -176,43 +208,13 @@ def kl_project_lr(
     rows, cols = np.nonzero(col_of[indices] >= 0)
     e_sup[rows, col_of[indices[rows, cols]]] += setting_w[cols]
 
-    if np.any(e_sup.max(axis=0)[qs > 0.0] <= 0.0):
+    if np.any(e_sup.max(axis=0) <= 0.0):
         # some observed result is impossible under every strategy
-        uniform = np.full(h, 1.0 / h)
-        dist = _mixture_from_indices(scenario, uniform, indices, setting_w, k)
-        return LRProjection(uniform, dist, math.inf, 0, True)
-
-    if warm_start is not None:
-        lam = np.asarray(warm_start, dtype=float)
-        if lam.shape != (h,):
-            raise ValueError(f"warm_start must have length {h}")
-        if np.any(lam < 0.0) or abs(float(lam.sum()) - 1.0) > 1e-9:
-            raise ValueError("warm_start must be simplex weights")
-        # keep every strategy reachable by the multiplicative update
-        lam = (1.0 - 1e-12) * lam + 1e-12 / h
+        lam, neg_div, iterations, converged = np.full(h, 1.0 / h), -math.inf, 0, True
     else:
-        lam = np.full(h, 1.0 / h)
-
-    prev = math.inf
-    div = math.inf
-    converged = False
-    iterations = 0
-    for it in range(1, controls.max_iterations + 1):
-        iterations = it
-        p_sup = lam @ e_sup
-        div = float(np.dot(qs, np.log2(qs / p_sup)))
-        factor = e_sup @ (qs / p_sup)
-        stationary = stationarity_slack is None or float(factor.max()) <= 1.0 + stationarity_slack
-        if it > 1 and stationary and prev - div <= controls.rel_tolerance * max(1.0, abs(div)):
-            converged = True
-            break
-        prev = div
-        lam = lam * factor
-        lam = lam / lam.sum()
-    dist = _mixture_from_indices(scenario, lam, indices, setting_w, k)
-    return LRProjection(lam, dist, div, iterations, converged)
-
-
-def _mixture_from_indices(scenario, lam, indices, setting_w, k) -> Distribution:
-    probs = np.bincount(indices.ravel(), weights=(lam[:, None] * setting_w[None, :]).ravel(), minlength=k)
-    return Distribution(scenario, probs / probs.sum())
+        # maximize minus the divergence, summed as q log2(q / p)
+        lam, neg_div, iterations, converged = _multiplicative_update(
+            e_sup.T, qs, lam, lambda mix, ratio: -float(np.dot(qs, np.log2(ratio))), controls, stationarity_slack
+        )
+    probs = _mixture_probs(indices, setting_w, lam, k)
+    return LRProjection(lam, Distribution(scenario, probs / probs.sum()), -neg_div, iterations, converged)

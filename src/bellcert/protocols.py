@@ -247,8 +247,7 @@ class SimplifiedPbrAnalysis(BlockAnalysis):
         super().__init__(scenario, block_size, self._r @ self.weights)
 
     def _predict(self) -> np.ndarray:
-        seen = np.flatnonzero(self.counts)
-        opt = maximize_log_gain(self._r[seen], self.counts[seen] / self.n, self.controls)
+        opt = maximize_log_gain(self._r, self.counts / self.n, self.controls)
         if not opt.converged:
             self.flags.append(f"weight refit before trial {self.n + 1} hit the iteration budget")
         self.weights = opt.weights

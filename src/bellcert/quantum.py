@@ -27,7 +27,7 @@ class PureState:
         amp = np.asarray(self.amplitudes, dtype=complex)
         if amp.ndim != 2:
             raise ValueError("amplitudes must be a 2-D table")
-        if abs(float(np.sum(np.abs(amp) ** 2)) - 1.0) > 1e-12:
+        if not abs(float(np.sum(np.abs(amp) ** 2)) - 1.0) <= 1e-12:
             raise ValueError("squared amplitudes must sum to 1 within 1e-12")
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)

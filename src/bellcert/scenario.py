@@ -56,7 +56,7 @@ class Scenario:
             dist = np.asarray(self.setting_distribution, dtype=float)
             if dist.shape != (n_joint,):
                 raise ValueError(f"setting_distribution must have length {n_joint}")
-            if np.any(dist < 0.0) or abs(float(dist.sum()) - 1.0) > 1e-12:
+            if not (np.all(dist >= 0.0) and abs(float(dist.sum()) - 1.0) <= 1e-12):
                 raise ValueError("setting_distribution entries must be >= 0 and sum to 1 within 1e-12")
         object.__setattr__(self, "setting_distribution", _frozen(dist))
 
@@ -172,9 +172,9 @@ class Distribution:
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (k,):
             raise ValueError(f"probs must have length {k}")
-        if np.any(p < 0.0):
+        if not np.all(p >= 0.0):
             raise ValueError("probabilities must be non-negative")
-        if abs(float(p.sum()) - 1.0) > 1e-10:
+        if not abs(float(p.sum()) - 1.0) <= 1e-10:
             raise ValueError("probabilities must sum to 1 within 1e-10")
         if not self.empirical:
             marginal = p.reshape(self.scenario.n_joint_settings, -1).sum(axis=1)

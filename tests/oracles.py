@@ -168,3 +168,75 @@ def write_report_reference(path, analysis, header_lines=(), per_block=False, blo
             if per_block and n % block_size != 0 and n != hist.shape[0]:
                 continue
             writer.writerow([n, f"{hist[i, 1]:.12g}", f"{hist[i, 2]:.12g}"])
+
+
+def maximize_log_gain_reference(r_values, freq, max_iterations=100_000, rel_tolerance=1e-10):
+    """The weight-refit loop as first written, kept as the bit-for-bit reference.
+
+    Returns ``(weights, gain, iterations, converged)``.
+    """
+    r = np.asarray(r_values, dtype=float)
+    f = np.asarray(freq, dtype=float)
+    active = f > 0.0
+    r, f = r[active], f[active]
+    m = r.shape[1]
+    w = np.full(m, 1.0 / m)
+    prev = -math.inf
+    gain = 0.0
+    for it in range(1, max_iterations + 1):
+        mix = r @ w
+        gain = float(np.dot(f, np.log2(mix)))
+        if it > 1 and gain - prev <= rel_tolerance * max(1.0, abs(gain)):
+            return w, gain, it, True
+        prev = gain
+        w = w * (r.T @ (f / mix))
+        w = w / w.sum()
+    return w, gain, max_iterations, False
+
+
+def kl_project_lr_reference(
+    q_probs, indices, setting_w, max_iterations=100_000, rel_tolerance=1e-10, warm_start=None, stationarity_slack=None
+):
+    """The LR-projection loop as first written, kept as the bit-for-bit reference.
+
+    ``indices[h, j]`` is the result strategy h gives under joint setting j,
+    which has probability ``setting_w[j]``.  Returns
+    ``(mixture, projected probabilities, divergence, iterations, converged)``.
+    """
+    h, k = indices.shape[0], q_probs.size
+    support = np.flatnonzero(q_probs)
+    qs = q_probs[support]
+    col_of = np.full(k, -1, dtype=np.int64)
+    col_of[support] = np.arange(support.size)
+    e_sup = np.zeros((h, support.size))
+    rows, cols = np.nonzero(col_of[indices] >= 0)
+    e_sup[rows, col_of[indices[rows, cols]]] += setting_w[cols]
+
+    def mixture(lam):
+        probs = np.bincount(indices.ravel(), weights=(lam[:, None] * setting_w[None, :]).ravel(), minlength=k)
+        return probs / probs.sum()
+
+    if np.any(e_sup.max(axis=0)[qs > 0.0] <= 0.0):
+        uniform = np.full(h, 1.0 / h)
+        return uniform, mixture(uniform), math.inf, 0, True
+    if warm_start is not None:
+        lam = (1.0 - 1e-12) * np.asarray(warm_start, dtype=float) + 1e-12 / h
+    else:
+        lam = np.full(h, 1.0 / h)
+    prev = math.inf
+    div = math.inf
+    converged = False
+    iterations = 0
+    for it in range(1, max_iterations + 1):
+        iterations = it
+        p_sup = lam @ e_sup
+        div = float(np.dot(qs, np.log2(qs / p_sup)))
+        factor = e_sup @ (qs / p_sup)
+        stationary = stationarity_slack is None or float(factor.max()) <= 1.0 + stationarity_slack
+        if it > 1 and stationary and prev - div <= rel_tolerance * max(1.0, abs(div)):
+            converged = True
+            break
+        prev = div
+        lam = lam * factor
+        lam = lam / lam.sum()
+    return lam, mixture(lam), div, iterations, converged

@@ -207,6 +207,12 @@ def test_config_file_both_forms(tmp_path, capsys, trial_file, equals_form):
     assert rc == 0
     runs = [l.split()[0] for l in capsys.readouterr().out.splitlines() if l.startswith("protocol=")]
     assert runs == ["protocol=mart"]
+    # so does an abbreviated flag, before or after the config file
+    for tail in (["--proto", "mart", *flag], [*flag, "--proto", "mart"]):
+        rc = main(["analyze", str(path), "--scenario", "2,2,2", "--functions", "chsh", *tail])
+        assert rc == 0
+        runs = [l.split()[0] for l in capsys.readouterr().out.splitlines() if l.startswith("protocol=")]
+        assert runs == ["protocol=mart"]
 
 
 def test_analyze_refuses_an_understated_functional_bound(tmp_path, capsys, trial_file):
@@ -219,3 +225,41 @@ def test_analyze_refuses_an_understated_functional_bound(tmp_path, capsys, trial
     rc = main(["analyze", str(path), "--scenario", "2,2,2", "--functions", f"file:{func_path}", "--protocol", "mart"])
     assert rc == 3
     assert "below the LR maximum" in capsys.readouterr().err
+
+
+def test_analyze_refuses_a_constant_functional(tmp_path, capsys, trial_file):
+    # a constant table cannot be standardized: an input error, not an internal one
+    path, _ = trial_file
+    func_path = tmp_path / "const.json"
+    func_path.write_text(json.dumps({"scenario": {"l": 2, "s": 2, "d": 2}, "B": 1.0, "values": [1.0] * 16}))
+    rc = main(["analyze", str(path), "--scenario", "2,2,2", "--functions", f"file:{func_path}", "--protocol", "spbr"])
+    assert rc == 2
+    assert "standardization" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["quantum", "--config", "cglmp:3", flag, "1"] for flag in ("--tol", "--max-iter", "--floor", "--block")),
+        ["quantum", "--config", "cglmp:3", "--per-block"],
+        *(["gain", "--config", "cglmp:3", flag, "1"] for flag in ("--floor", "--block")),
+        ["gain", "--config", "cglmp:3", "--per-block"],
+        ["gain", "--config", "chsh:0.5", "--sweep", "cglmp", "--d", "3"],
+        ["gain"],
+        ["simulate", "--config", "cglmp:3", "--dist", "dist.json", "--trials", "10"],
+        ["simulate", "--trials", "10"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_config_file_entry_for_a_missing_flag_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"block": 20}))
+    with pytest.raises(SystemExit) as exc:
+        main(["quantum", "--config", "cglmp:3", "--config-file", str(cfg)])
+    assert exc.value.code == 2

@@ -9,18 +9,27 @@ from bellcert import (
     Scenario,
     ScenarioMismatchError,
     SizeLimitError,
+    encode_trials,
     kl_divergence,
     kl_project_lr,
     log_gain,
     maximize_log_gain,
     mixture_distribution,
+    sample_trials,
     standardize,
+    strategy_result_indices,
     chsh_functional,
     uniform_outcome_distribution,
     value_table,
 )
 
-from oracles import enumerate_strategy_distributions, golden_section_max, projected_gradient_kl
+from oracles import (
+    enumerate_strategy_distributions,
+    golden_section_max,
+    kl_project_lr_reference,
+    maximize_log_gain_reference,
+    projected_gradient_kl,
+)
 
 
 def _chsh_columns(scenario):
@@ -211,6 +220,71 @@ def test_kl_project_cap():
 def test_kl_project_nonconvergence_flag(cglmp3_q):
     proj = kl_project_lr(cglmp3_q, controls=OptimizerControls(max_iterations=3, rel_tolerance=1e-16))
     assert not proj.converged
+
+
+BUDGETS = [None, 1, 2, 50]
+
+
+def _controls_for(budget):
+    return OptimizerControls() if budget is None else OptimizerControls(max_iterations=budget)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("seed", range(4))
+def test_maximize_bit_identical_to_reference(seed, budget):
+    rng = np.random.default_rng(seed)
+    n_points, n_functions = 30, 6
+    r = np.column_stack([np.ones(n_points), rng.random((n_points, n_functions - 1)) * 3.0])
+    freq = rng.dirichlet(np.ones(n_points)) * (rng.random(n_points) < 0.6)
+    freq /= freq.sum()
+    controls = _controls_for(budget)
+    opt = maximize_log_gain(r, freq, controls)
+    w, gain, iterations, converged = maximize_log_gain_reference(
+        r, freq, controls.max_iterations, controls.rel_tolerance
+    )
+    assert np.array_equal(opt.weights, w)
+    assert opt.gain == gain
+    assert opt.iterations == iterations
+    assert opt.converged == converged
+
+
+def _assert_projection_is_reference(proj, reference):
+    lam, probs, div, iterations, converged = reference
+    assert np.array_equal(proj.mixture, lam)
+    assert np.array_equal(proj.distribution.probs, probs)
+    assert proj.divergence == div
+    assert proj.iterations == iterations
+    assert proj.converged == converged
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_kl_project_bit_identical_to_reference(cglmp3_q, budget):
+    # the full protocol's use: floored frequencies, warm-started from the previous block's mixture
+    scenario = cglmp3_q.scenario
+    indices, setting_w = strategy_result_indices(scenario)
+    controls = _controls_for(budget)
+    codes = encode_trials(scenario, sample_trials(cglmp3_q, 616, seed=3))
+    warm = None
+    for n in (308, 462, 616):
+        counts = np.bincount(codes[:n], minlength=36)
+        freq = (1.0 - 1e-9) * counts / n + 1e-9 / 36
+        q = Distribution(scenario, freq, empirical=True)
+        proj = kl_project_lr(q, controls=controls, warm_start=warm, stationarity_slack=1e-7)
+        reference = kl_project_lr_reference(
+            q.probs, indices, setting_w, controls.max_iterations, controls.rel_tolerance, warm, 1e-7
+        )
+        _assert_projection_is_reference(proj, reference)
+        warm = proj.mixture
+
+
+def test_kl_project_unreachable_result_is_reference():
+    # no strategy reaches joint setting (2, 2): the projection returns at once
+    scenario = Scenario(2, 2, 2, np.array([0.5, 0.25, 0.25, 0.0]))
+    freq = np.full(16, 1.0 / 16.0)
+    proj = kl_project_lr(Distribution(scenario, freq, empirical=True))
+    indices, setting_w = strategy_result_indices(scenario)
+    _assert_projection_is_reference(proj, kl_project_lr_reference(freq, indices, setting_w))
+    assert proj.divergence == math.inf and proj.iterations == 0
 
 
 def test_controls_validation():
