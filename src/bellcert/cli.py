@@ -20,7 +20,7 @@ from .functionals import (
     standardize,
     trivial_standardized,
 )
-from .optim import OptimizerControls
+from .optim import DEFAULT_CONTROLS, OptimizerControls
 from .protocols import get_protocol
 from .scenario import Scenario, _check_same_scenario, read_distribution, read_trials, write_distribution
 
@@ -195,6 +195,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         return argv  # the parser reports the missing value
     with open(argv[i + 1], "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
+    if not (isinstance(cfg, dict) and all(isinstance(v, (str, int, float)) for v in cfg.values())):
+        raise ValueError(f"{argv[i + 1]}: config file must be a JSON object of flag values")
     injected: list[str] = []
     for key, value in cfg.items():
         flag = f"--{key.replace('_', '-')}"
@@ -207,14 +209,18 @@ def _apply_config_file(argv: list[str]) -> list[str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="bellcert", description="p-value certificates against local realism")
+    # no abbreviated flags: an abbreviation of --config-file would escape _apply_config_file
+    parser = argparse.ArgumentParser(
+        prog="bellcert", description="p-value certificates against local realism", allow_abbrev=False
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, optimizer: bool, protocol: bool):
         # each command gets only the shared flags it reads
         if optimizer:
-            p.add_argument("--tol", type=float, default=1e-10, help="optimizer relative tolerance")
-            p.add_argument("--max-iter", type=int, default=100_000, help="optimizer iteration budget")
+            d = DEFAULT_CONTROLS
+            p.add_argument("--tol", type=float, default=d.rel_tolerance, help="optimizer KKT stationarity gap")
+            p.add_argument("--max-iter", type=int, default=d.max_iterations, help="optimizer iteration budget")
         if protocol:
             p.add_argument("--floor", type=float, default=1e-9, help="frequency floor for the full protocol")
             p.add_argument("--block", type=int, default=154, help="trials per prediction update")
@@ -222,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output file or directory")
         p.add_argument("--config-file", default=None, help="JSON file of defaults for these flags")
 
-    p = sub.add_parser("analyze", help="run protocols on a recorded trial file")
+    p = sub.add_parser("analyze", help="run protocols on a recorded trial file", allow_abbrev=False)
     p.add_argument("trials_file")
     p.add_argument("--scenario", required=True, help="l,s,d")
     p.add_argument("--functions", default="chsh", help="comma list of catalog names")
@@ -230,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, optimizer=True, protocol=True)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("simulate", help="sample a quantum configuration and run protocols")
+    p = sub.add_parser("simulate", help="sample a quantum configuration and run protocols", allow_abbrev=False)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--config", help="chsh:<theta> or cglmp:<d>")
     source.add_argument("--dist", help="distribution file to sample instead")
@@ -242,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, optimizer=True, protocol=True)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("gain", help="emit gain-rate tables")
+    p = sub.add_parser("gain", help="emit gain-rate tables", allow_abbrev=False)
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--config", help="single configuration, e.g. cglmp:3")
     source.add_argument("--sweep", choices=["cglmp", "chsh"])
@@ -253,12 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, optimizer=True, protocol=False)
     p.set_defaults(func=cmd_gain)
 
-    p = sub.add_parser("quantum", help="emit the trial distribution of a named configuration")
+    p = sub.add_parser("quantum", help="emit the trial distribution of a named configuration", allow_abbrev=False)
     p.add_argument("--config", required=True, help="chsh:<theta> or cglmp:<d>")
     common(p, optimizer=False, protocol=False)
     p.set_defaults(func=cmd_quantum)
 
-    p = sub.add_parser("catalog", help="list catalog functional names for a scenario")
+    p = sub.add_parser("catalog", help="list catalog functional names for a scenario", allow_abbrev=False)
     p.add_argument("--scenario", required=True, help="l,s,d")
     p.set_defaults(func=cmd_catalog)
 

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ScenarioMismatchError, SizeLimitError, StandardizationError, TrialFormatError, UnknownFunctionalError
 from .lrpolytope import STRATEGY_CAP, strategy_count, vertex_expectations
 from .scenario import ENUMERATION_CAP, Distribution, Scenario, _frozen, result_space_size, scenario_from_json
+from .scenario import _json_numbers
 
 
 def _frozen_table(scenario: Scenario, table: np.ndarray) -> np.ndarray:
@@ -225,10 +226,11 @@ def load_functional_file(path: str | Path) -> Functional:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     for key in ("scenario", "B", "values"):
-        if key not in obj:
-            raise TrialFormatError(f"{path}: functional file must carry {key!r}")
+        if not (isinstance(obj, dict) and key in obj):
+            raise TrialFormatError(f"{path}: functional file must be a JSON object carrying {key!r}")
     scenario = scenario_from_json(obj["scenario"])
-    values, bound = np.asarray(obj["values"], dtype=float), float(obj["B"])
+    values = _json_numbers(obj["values"], f"{path}: 'values'")
+    bound = float(_json_numbers([obj["B"]], f"{path}: 'B'")[0])
     if not (np.all(np.isfinite(values)) and np.isfinite(bound)):
         raise TrialFormatError(f"{path}: 'B' and 'values' must be finite numbers")
     f = functional_from_table(scenario, values, bound, str(obj.get("name", "custom")))

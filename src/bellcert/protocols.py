@@ -291,7 +291,6 @@ class FullPbrAnalysis(BlockAnalysis):
             raise SizeLimitError(f"full protocol needs a dense result table; {k} exceeds {ENUMERATION_CAP}")
         self.controls = controls
         self.floor = floor
-        self.mixture: np.ndarray | None = None
         self._indices, self._setting_w = strategy_result_indices(scenario)
         super().__init__(scenario, block_size, np.ones(k))
 
@@ -301,12 +300,11 @@ class FullPbrAnalysis(BlockAnalysis):
         if self.floor > 0.0:
             freq = (1.0 - self.floor) * freq + self.floor / k
         q = Distribution(self.scenario, freq, empirical=True)
-        # the stationarity requirement keeps the rescue rescale below
-        # log2(1 + 1e-7) bits per trial
-        proj = kl_project_lr(q, controls=self.controls, warm_start=self.mixture, stationarity_slack=1e-7)
+        # a cold start leaves every strategy reachable; convergence keeps the
+        # rescue rescale below log2(1 + rel_tolerance) bits per trial
+        proj = kl_project_lr(q, controls=self.controls)
         if not proj.converged:
             self.flags.append(f"projection before trial {self.n + 1} hit the iteration budget")
-        self.mixture = proj.mixture
         p = proj.distribution.probs
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(p > 0.0, freq / np.where(p > 0.0, p, 1.0), 0.0)

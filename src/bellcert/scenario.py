@@ -222,13 +222,18 @@ def scenario_to_json(scenario: Scenario) -> dict:
     return obj
 
 
+def _json_numbers(value, where: str) -> np.ndarray:
+    """A JSON list of numbers (booleans excluded) as a float array; anything else is refused."""
+    if not (isinstance(value, list) and all(type(v) in (int, float) for v in value)):
+        raise TrialFormatError(f"{where} must hold JSON numbers only, got {value!r}")
+    return np.asarray(value, dtype=float)
+
+
 def scenario_from_json(obj: dict) -> Scenario:
-    try:
-        l, s, d = int(obj["l"]), int(obj["s"]), int(obj["d"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TrialFormatError(f"scenario object must carry integer fields l, s, d: {obj!r}") from exc
+    if not (isinstance(obj, dict) and all(type(obj.get(key)) is int for key in "lsd")):
+        raise TrialFormatError(f"scenario object must carry integer fields l, s, d: {obj!r}")
     dist = obj.get("setting_distribution")
-    return Scenario(l, s, d, None if dist is None else np.asarray(dist, dtype=float))
+    return Scenario(obj["l"], obj["s"], obj["d"], None if dist is None else _json_numbers(dist, "setting_distribution"))
 
 
 def _check_same_scenario(found: Scenario, expected: Scenario, where: str) -> None:
@@ -298,10 +303,11 @@ def read_distribution(path: str | Path) -> Distribution:
     """Read a distribution file ``{"scenario": .., "probs": [..]}``."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    if "scenario" not in obj or "probs" not in obj:
-        raise TrialFormatError(f"{path}: distribution file must carry 'scenario' and 'probs'")
+    if not (isinstance(obj, dict) and "scenario" in obj and "probs" in obj):
+        raise TrialFormatError(f"{path}: distribution file must be a JSON object carrying 'scenario' and 'probs'")
     scenario = scenario_from_json(obj["scenario"])
-    return Distribution(scenario, np.asarray(obj["probs"], dtype=float), empirical=bool(obj.get("empirical", False)))
+    probs = _json_numbers(obj["probs"], f"{path}: 'probs'")
+    return Distribution(scenario, probs, empirical=bool(obj.get("empirical", False)))
 
 
 def write_distribution(path: str | Path, dist: Distribution) -> None:

@@ -207,12 +207,58 @@ def test_config_file_both_forms(tmp_path, capsys, trial_file, equals_form):
     assert rc == 0
     runs = [l.split()[0] for l in capsys.readouterr().out.splitlines() if l.startswith("protocol=")]
     assert runs == ["protocol=mart"]
-    # so does an abbreviated flag, before or after the config file
-    for tail in (["--proto", "mart", *flag], [*flag, "--proto", "mart"]):
+    # so does the flag written before or after the config file
+    for tail in (["--protocol", "mart", *flag], [*flag, "--protocol", "mart"]):
         rc = main(["analyze", str(path), "--scenario", "2,2,2", "--functions", "chsh", *tail])
         assert rc == 0
         runs = [l.split()[0] for l in capsys.readouterr().out.splitlines() if l.startswith("protocol=")]
         assert runs == ["protocol=mart"]
+
+
+@pytest.mark.parametrize("abbreviated", [["--config-f", "CFG"], ["--config-f=CFG"], ["--proto", "spbr"], ["--to=1e-6"]])
+def test_abbreviated_flags_are_usage_errors(tmp_path, capsys, trial_file, abbreviated):
+    # "--config-f cfg.json" used to run with the config file silently ignored
+    path, _ = trial_file
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"protocol": "spbr"}))
+    tail = [a.replace("CFG", str(cfg)) for a in abbreviated]
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(path), "--scenario", "2,2,2", *tail])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        3,
+        {"scenario": {"l": 2, "s": 2, "d": 2}, "probs": {"a": 1}},
+        {"scenario": {"l": 2, "s": 2, "d": 2.5}, "probs": [1 / 16] * 16},
+        {"scenario": {"l": 2, "s": 2, "d": "2"}, "probs": [1 / 16] * 16},
+    ],
+)
+def test_simulate_refuses_a_wrongly_typed_distribution_file(tmp_path, capsys, obj):
+    dist = tmp_path / "d.json"
+    dist.write_text(json.dumps(obj))
+    assert main(["simulate", "--dist", str(dist), "--trials", "5"]) == 2
+    assert "must" in capsys.readouterr().err
+
+
+def test_analyze_refuses_a_null_functional_bound(tmp_path, capsys, trial_file):
+    path, _ = trial_file
+    func_path = tmp_path / "f.json"
+    func_path.write_text(json.dumps({"scenario": {"l": 2, "s": 2, "d": 2}, "B": None, "values": [0.5] * 16}))
+    assert main(["analyze", str(path), "--scenario", "2,2,2", "--functions", f"file:{func_path}"]) == 2
+    assert "'B' must hold JSON numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ["3", '["--protocol", "spbr"]', '{"protocol": null}', '{"protocol": ["spbr"]}'])
+def test_analyze_refuses_a_config_file_that_is_not_flag_values(tmp_path, capsys, trial_file, content):
+    path, _ = trial_file
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    assert main(["analyze", str(path), "--scenario", "2,2,2", "--config-file", str(cfg)]) == 2
+    assert "config file must be a JSON object" in capsys.readouterr().err
 
 
 def test_analyze_refuses_an_understated_functional_bound(tmp_path, capsys, trial_file):

@@ -259,11 +259,12 @@ def test_chunked_extend_matches_one_call(chsh_q, protocol):
         assert chunked.pvalue == whole.pvalue == whole.history()[-1, 2]
 
 
-# Final values at the parent of the single-engine refactor, which scored one trial at a time.
+# Final values with refits that stop on the KKT gap 1e-8 (fpbr projecting from a
+# cold start); mart is unchanged since the parent of the single-engine refactor.
 PINNED_CGLMP3 = {
     "mart": (2.8536, 2.9232, 2.9476),
-    "spbr": (576.3921089917628, 689.098610192292, 708.7880830377817),
-    "fpbr": (446.15351234948866, 574.5706004611369, 588.470154098735),
+    "spbr": (576.3856606935582, 689.0978363457237, 708.7850924506398),
+    "fpbr": (446.0261265402477, 584.6264100010923, 574.8983054065931),
 }
 
 
@@ -274,6 +275,12 @@ def test_cglmp3_final_values_pinned(cglmp3_q, seed):
     for protocol in ("spbr", "fpbr"):
         log2_t = _run_named(protocol, enc, cglmp3_q.scenario).log2_t
         assert log2_t == pytest.approx(PINNED_CGLMP3[protocol][seed], rel=1e-12), protocol
+
+
+def test_cglmp3_seed4_projections_converge(cglmp3_q):
+    # a warm-started projection before trial 9549 used to run the whole budget
+    analysis = run_full_pbr(sample_encoded(cglmp3_q, 10_000, seed=4), cglmp3_q.scenario, 154)
+    assert not any("hit the iteration budget" in flag for flag in analysis.flags)
 
 
 def test_lr_data_keeps_pvalues_near_one(chsh_scenario):
