@@ -240,3 +240,107 @@ def kl_project_lr_reference(
         lam = lam * factor
         lam = lam / lam.sum()
     return lam, mixture(lam), div, iterations, converged
+
+
+def _squarem_em_reference(table, freq, weights, objective, max_iterations, rel_tolerance):
+    """EM with SqS3 SQUAREM steps and a KKT-gap stop, written out step by step.
+
+    Maximizes ``objective(mix)``, ``mix = table @ w``, where the EM map is
+    ``w <- w * (table.T @ (freq / mix))`` renormalized.  Each cycle takes two
+    EM points x1, x2 from x0, then tries the extrapolated point
+    ``x0 + 2 s r + s^2 v`` (``r = x1 - x0``, ``v = x2 - 2 x1 + x0``,
+    ``s = |r| / |v|``) when ``s > 1``, keeping it only if it is positive and
+    no worse than x2.  Every evaluated point counts against the budget.
+    Returns ``(weights, objective, evaluations, converged)``.
+    """
+    evaluations = 0
+
+    def point(w):
+        nonlocal evaluations
+        evaluations += 1
+        mix = table @ w
+        return w, objective(mix), table.T @ (freq / mix)
+
+    def stationary(pt):
+        return float(pt[2].max()) <= 1.0 + rel_tolerance
+
+    def em(pt):
+        w = pt[0] * pt[2]
+        return w / w.sum()
+
+    def done(pt):
+        return stationary(pt) or evaluations >= max_iterations
+
+    cur = point(weights)
+    while not done(cur):
+        x1 = point(em(cur))
+        if done(x1):
+            cur = x1
+            break
+        x2 = point(em(x1))
+        if done(x2):
+            cur = x2
+            break
+        r = x1[0] - cur[0]
+        v = x2[0] - 2.0 * x1[0] + cur[0]
+        rr, vv = float(r @ r), float(v @ v)
+        nxt = x2
+        if vv > 0.0 and rr > vv:
+            x = cur[0] + 2.0 * math.sqrt(rr / vv) * r + (rr / vv) * v
+            if np.all(x > 0.0):
+                trial = point(x / x.sum())
+                if trial[1] >= x2[1]:
+                    nxt = trial
+        cur = nxt
+    return cur[0], cur[1], evaluations, stationary(cur)
+
+
+def maximize_log_gain_squarem_reference(r_values, freq, max_iterations=100_000, rel_tolerance=1e-8):
+    """The weight refit by EM with SQUAREM steps and a KKT-gap stop, as a plain bit-for-bit reference.
+
+    Returns ``(weights, gain, iterations, converged)``.
+    """
+    r = np.asarray(r_values, dtype=float)
+    f = np.asarray(freq, dtype=float)
+    active = f > 0.0
+    r, f = r[active], f[active]
+    m = r.shape[1]
+    return _squarem_em_reference(
+        r, f, np.full(m, 1.0 / m), lambda mix: float(np.dot(f, np.log2(mix))), max_iterations, rel_tolerance
+    )
+
+
+def kl_project_lr_squarem_reference(
+    q_probs, indices, setting_w, max_iterations=100_000, rel_tolerance=1e-8, warm_start=None
+):
+    """The LR projection by EM with SQUAREM steps and a KKT-gap stop, as a plain bit-for-bit reference.
+
+    ``indices[h, j]`` is the result strategy h gives under joint setting j,
+    which has probability ``setting_w[j]``.  Returns
+    ``(mixture, projected probabilities, divergence, iterations, converged)``.
+    """
+    h, k = indices.shape[0], q_probs.size
+    support = np.flatnonzero(q_probs)
+    qs = q_probs[support]
+    col_of = np.full(k, -1, dtype=np.int64)
+    col_of[support] = np.arange(support.size)
+    e_sup = np.zeros((h, support.size))
+    rows, cols = np.nonzero(col_of[indices] >= 0)
+    e_sup[rows, col_of[indices[rows, cols]]] += setting_w[cols]
+
+    def mixture(lam):
+        probs = np.bincount(indices.ravel(), weights=(lam[:, None] * setting_w[None, :]).ravel(), minlength=k)
+        return probs / probs.sum()
+
+    if np.any(e_sup.max(axis=0) <= 0.0):
+        uniform = np.full(h, 1.0 / h)
+        return uniform, mixture(uniform), math.inf, 0, True
+    if warm_start is not None:
+        lam = (1.0 - 1e-12) * np.asarray(warm_start, dtype=float) + 1e-12 / h
+    else:
+        lam = np.full(h, 1.0 / h)
+    # maximize minus the divergence D(q | p) = sum q log2(q / p)
+    lam, neg_div, iterations, converged = _squarem_em_reference(
+        e_sup.T, qs, lam, lambda p: -float(np.dot(qs, np.log2(qs / p))), max_iterations, rel_tolerance
+    )
+    return lam, mixture(lam), -neg_div, iterations, converged

@@ -28,7 +28,9 @@ from oracles import (
     enumerate_strategy_distributions,
     golden_section_max,
     kl_project_lr_reference,
+    kl_project_lr_squarem_reference,
     maximize_log_gain_reference,
+    maximize_log_gain_squarem_reference,
     projected_gradient_kl,
 )
 
@@ -259,6 +261,21 @@ def test_maximize_within_the_gap_of_the_reference_optimum(seed, budget):
         assert (r.T @ (freq / (r @ opt.weights))).max() <= 1.0 + controls.rel_tolerance
 
 
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("seed", range(4))
+def test_maximize_bit_identical_to_reference(seed, budget):
+    r, freq = _random_gain_problem(seed)
+    controls = _controls_for(budget)
+    opt = maximize_log_gain(r, freq, controls)
+    w, gain, iterations, converged = maximize_log_gain_squarem_reference(
+        r, freq, controls.max_iterations, controls.rel_tolerance
+    )
+    assert np.array_equal(opt.weights, w)
+    assert opt.gain == gain
+    assert opt.iterations == iterations
+    assert opt.converged == converged
+
+
 def test_maximize_budget_counts_objective_evaluations():
     r, freq = _random_gain_problem(0)
     full = maximize_log_gain(r, freq)
@@ -316,6 +333,21 @@ def _assert_projection_is_reference(proj, reference):
     assert proj.divergence == div
     assert proj.iterations == iterations
     assert proj.converged == converged
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_kl_project_bit_identical_to_reference(cglmp3_projection_cases, budget):
+    # the full protocol's use: each block warm-started from the previous block's mixture
+    indices, setting_w = strategy_result_indices(cglmp3_projection_cases[0][0].scenario)
+    controls = _controls_for(budget)
+    warm = None
+    for q, _ in cglmp3_projection_cases:
+        proj = kl_project_lr(q, controls=controls, warm_start=warm)
+        reference = kl_project_lr_squarem_reference(
+            q.probs, indices, setting_w, controls.max_iterations, controls.rel_tolerance, warm
+        )
+        _assert_projection_is_reference(proj, reference)
+        warm = proj.mixture
 
 
 def test_kl_project_unreachable_result_is_reference():
