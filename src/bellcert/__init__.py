@@ -29,7 +29,6 @@ from .functionals import (
     no_signaling_functionals,
     standardize,
     trivial_standardized,
-    value_table,
 )
 from .gainrates import GainReport, gain_curve, gain_martingale, gain_spbr, optimal_gain
 from .lrpolytope import (
@@ -83,7 +82,6 @@ from .sim import (
     run_experiment,
     run_seed_sweep,
     sample_encoded,
-    sample_trials,
     validity_exceedance,
 )
 

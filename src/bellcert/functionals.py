@@ -79,15 +79,9 @@ def trivial_standardized(scenario: Scenario) -> StandardizedFunctional:
     return StandardizedFunctional(name="trivial", scenario=scenario, table=np.ones(k), is_trivial=True)
 
 
-def value_table(f: Functional | StandardizedFunctional) -> np.ndarray:
-    """Dense K-vector of values ordered by the result encoding."""
-    return f.table
-
-
 def bounds_by_enumeration(f: Functional) -> tuple[float, float]:
     """Exact (inf, sup) of the functional over the whole result space."""
-    t = value_table(f)
-    return float(t.min()), float(t.max())
+    return float(f.table.min()), float(f.table.max())
 
 
 def expectation(f: Functional | StandardizedFunctional, dist: Distribution) -> float:
@@ -167,13 +161,12 @@ def _cglmp_table(d: int) -> np.ndarray:
     return t[:, ::-1].copy()
 
 
-def cglmp_functional(scenario: Scenario, d: int | None = None) -> Functional:
-    """d-outcome generalization of the CHSH combination, LR bound 2, d distinct values."""
-    if d is None:
-        d = scenario.outcomes_per_setting
+def cglmp_functional(scenario: Scenario) -> Functional:
+    """d-outcome generalization of the CHSH combination (d from the scenario), LR bound 2, d distinct values."""
+    d = scenario.outcomes_per_setting
     if d < 2:
         raise ValueError("cglmp_functional requires d >= 2")
-    _require_bipartite_two_settings(scenario, "cglmp_functional", d=d)
+    _require_bipartite_two_settings(scenario, "cglmp_functional")
     return _table_functional(f"cglmp:{d}", scenario, _cglmp_table(d).reshape(-1), 2.0)
 
 
@@ -274,7 +267,7 @@ def resolve_catalog_name(name: str, scenario: Scenario) -> list[Functional]:
             raise UnknownFunctionalError(f"malformed catalog name {name!r}") from None
         if d != scenario.outcomes_per_setting:
             raise UnknownFunctionalError(f"{name!r} does not match the scenario's {scenario.outcomes_per_setting} outcomes")
-        return [cglmp_functional(scenario, d)]
+        return [cglmp_functional(scenario)]
     raise UnknownFunctionalError(f"unknown functional {name!r}")
 
 

@@ -61,7 +61,7 @@ def gain_spbr(
 
 def optimal_gain(q: Distribution, controls: OptimizerControls = DEFAULT_CONTROLS) -> float:
     """Minimum KL divergence from q to any LR model: the best achievable rate."""
-    return kl_project_lr(q, controls=controls).divergence
+    return kl_project_lr(q, controls).divergence
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,19 +74,18 @@ class GainReport:
     gain_spbr: float
     gain_spbr_extended: float | None = None
     optimal: float | None = None
-    functions: tuple[str, ...] = ()
 
 
 def _cglmp_report(d: int, include_optimal: bool, controls: OptimizerControls) -> GainReport:
     state, bank = quantum.cglmp_config(d)
     q = quantum.born_distribution(state, bank)
-    f = cglmp_functional(q.scenario, d)
+    f = cglmp_functional(q.scenario)
     i_q = expectation(f, q)
     g_mart = gain_martingale(i_q, f.sup_a, f.inf_b, f.bound_B)
     functions = build_function_set([f.name], q.scenario)
     g_spbr = gain_spbr(q, functions, controls).gain
     s_q = optimal_gain(q, controls) if include_optimal else None
-    return GainReport(float(d), i_q, g_mart, g_spbr, None, s_q, tuple(fn.name for fn in functions))
+    return GainReport(float(d), i_q, g_mart, g_spbr, None, s_q)
 
 
 def _chsh_report(theta: float, include_ns: bool, include_optimal: bool, controls: OptimizerControls) -> GainReport:
@@ -98,13 +97,11 @@ def _chsh_report(theta: float, include_ns: bool, include_optimal: bool, controls
     base = build_function_set(["chsh"], q.scenario)
     g_spbr = gain_spbr(q, base, controls).gain
     g_ext = None
-    names = [fn.name for fn in base]
     if include_ns:
         extended = build_function_set(["chsh", "nosignaling"], q.scenario)
         g_ext = gain_spbr(q, extended, controls).gain
-        names = [fn.name for fn in extended]
     s_q = optimal_gain(q, controls) if include_optimal else None
-    return GainReport(float(theta), i_q, g_mart, g_spbr, g_ext, s_q, tuple(names))
+    return GainReport(float(theta), i_q, g_mart, g_spbr, g_ext, s_q)
 
 
 def gain_curve(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ScenarioMismatchError, SizeLimitError
 from .lrpolytope import _mixture_probs, strategy_count, strategy_result_indices
-from .scenario import Distribution, Scenario, result_space_size
+from .scenario import Distribution, result_space_size
 
 # Dense (strategies x support) work arrays are capped at this many entries.
 PROJECTION_TABLE_CAP = 2**24
@@ -173,40 +173,23 @@ def kl_divergence(q: Distribution, p: Distribution) -> float:
     return float(np.dot(q.probs[sup], np.log2(q.probs[sup] / p.probs[sup])))
 
 
-def kl_project_lr(
-    q: Distribution,
-    scenario: Scenario | None = None,
-    controls: OptimizerControls = DEFAULT_CONTROLS,
-    warm_start: np.ndarray | None = None,
-) -> LRProjection:
-    """Project q onto the LR polytope by minimizing the KL divergence (in bits).
+def kl_project_lr(q: Distribution, controls: OptimizerControls = DEFAULT_CONTROLS) -> LRProjection:
+    """Project q onto the LR polytope of its scenario by minimizing the KL divergence (in bits).
 
     Runs the multiplicative update
-    ``lam_h <- lam_h * sum_x q(x) e_h(x) / p_lam(x)`` from uniform (or
-    ``warm_start``) weights; the divergence is non-increasing at every step.
-    The returned distribution is the projected mixture.
+    ``lam_h <- lam_h * sum_x q(x) e_h(x) / p_lam(x)`` from uniform weights,
+    which leave every strategy reachable; the divergence is non-increasing at
+    every step.  The returned distribution is the projected mixture.
 
     At the exact projection the update factor is at most 1 for every
     strategy; a converged solve has ``max_h factor_h <= 1 + rel_tolerance``,
     which also bounds how far the ratio ``q / p`` can sit above LR
     expectation 1 under any strategy.
     """
-    if scenario is None:
-        scenario = q.scenario
-    elif scenario is not q.scenario and result_space_size(scenario) != result_space_size(q.scenario):
-        raise ScenarioMismatchError("q does not live on the supplied scenario's result space")
+    scenario = q.scenario
     h = strategy_count(scenario)
     k = result_space_size(scenario)
-    if warm_start is not None:
-        lam = np.asarray(warm_start, dtype=float)
-        if lam.shape != (h,):
-            raise ValueError(f"warm_start must have length {h}")
-        if not (np.all(lam >= 0.0) and abs(float(lam.sum()) - 1.0) <= 1e-9):
-            raise ValueError("warm_start must be simplex weights")
-        # keep every strategy reachable by the multiplicative update
-        lam = (1.0 - 1e-12) * lam + 1e-12 / h
-    else:
-        lam = np.full(h, 1.0 / h)
+    lam = np.full(h, 1.0 / h)
     indices, setting_w = strategy_result_indices(scenario)
     support = np.flatnonzero(q.probs)
     if h * support.size > PROJECTION_TABLE_CAP:
@@ -224,7 +207,7 @@ def kl_project_lr(
 
     if np.any(e_sup.max(axis=0) <= 0.0):
         # some observed result is impossible under every strategy
-        lam, neg_div, iterations, converged = np.full(h, 1.0 / h), -math.inf, 0, True
+        neg_div, iterations, converged = -math.inf, 0, True
     else:
         # maximize minus the divergence, summed as q log2(q / p)
         lam, neg_div, iterations, converged = _multiplicative_update(

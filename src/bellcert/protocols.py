@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,14 +26,7 @@ from .functionals import Functional, StandardizedFunctional, expectation
 from .gainrates import gain_martingale, gain_spbr, optimal_gain
 from .lrpolytope import strategy_result_indices
 from .optim import DEFAULT_CONTROLS, OptimizerControls, kl_project_lr, maximize_log_gain
-from .scenario import (
-    ENUMERATION_CAP,
-    Distribution,
-    Scenario,
-    TrialResult,
-    encode_trials,
-    result_space_size,
-)
+from .scenario import ENUMERATION_CAP, Distribution, Scenario, result_space_size
 
 # Smallest positive double; reported p-values are clamped here instead of 0.
 P_FLOOR = 5e-324
@@ -84,17 +77,13 @@ def azuma_pvalue(i_hat: float, n: int, a: float, b: float, bound: float) -> floa
     return max(math.exp(-2.0 * n * t * t), P_FLOOR)
 
 
-def _encoded(scenario: Scenario, trials, k: int) -> np.ndarray:
-    """Trials as int64 result indices: integer indices pass after a range check, records are encoded."""
-    if not isinstance(trials, np.ndarray):
-        trials = list(trials)
-        if trials and isinstance(trials[0], TrialResult):
-            return encode_trials(scenario, trials)
+def _encoded(trials, k: int) -> np.ndarray:
+    """Trials as int64 result indices: a 1-d integer array, every entry in 0..k-1."""
     enc = np.asarray(trials)
     if enc.size == 0:
         return np.zeros(0, dtype=np.int64)
     if enc.ndim != 1 or enc.dtype.kind not in "iu":
-        raise ValueError("trials must be TrialResult records or a 1-d sequence of integer result indices")
+        raise ValueError("trials must be a 1-d array of integer result indices")
     lo, hi = int(enc.min()), int(enc.max())
     if lo < 0 or hi >= k:
         raise ValueError(f"encoded result index {lo if lo < 0 else hi} outside 0..{k - 1}")
@@ -107,8 +96,8 @@ class BlockAnalysis:
     Subclasses are predictors: the constructor passes the score table of the
     first block, and :meth:`_predict` returns the table for each later block
     from the result ``counts`` seen before it.  Trials arrive through
-    :meth:`extend`, as encoded indices or :class:`TrialResult` records, in
-    chunks of any size; the history does not depend on the chunking.
+    :meth:`extend` as int64 encoded result indices, in chunks of any size;
+    the history does not depend on the chunking.
     """
 
     statistic_name = "log2_T"
@@ -140,9 +129,9 @@ class BlockAnalysis:
         """(statistic, -log2 p) after n trials with running score sum ``totals``: log2 T twice."""
         return totals, totals
 
-    def extend(self, trials: Iterable) -> None:
-        """Score trials in order, refreshing the table at each block boundary."""
-        enc = _encoded(self.scenario, trials, self.table.size)
+    def extend(self, trials: np.ndarray) -> None:
+        """Score encoded trials in order, refreshing the table at each block boundary."""
+        enc = _encoded(trials, self.table.size)
         pos = 0
         while pos < enc.size:
             if self.n and self.n % self.block_size == 0:
@@ -238,7 +227,6 @@ class SimplifiedPbrAnalysis(BlockAnalysis):
         for f in functions:
             if f.scenario is not scenario and result_space_size(f.scenario) != result_space_size(scenario):
                 raise ValueError("all functions must share one scenario")
-        self.functions = tuple(functions)
         self.controls = controls
         self.weights = np.zeros(len(functions))
         self.weights[0] = 1.0
@@ -302,7 +290,7 @@ class FullPbrAnalysis(BlockAnalysis):
         q = Distribution(self.scenario, freq, empirical=True)
         # a cold start leaves every strategy reachable; convergence keeps the
         # rescue rescale below log2(1 + rel_tolerance) bits per trial
-        proj = kl_project_lr(q, controls=self.controls)
+        proj = kl_project_lr(q, self.controls)
         if not proj.converged:
             self.flags.append(f"projection before trial {self.n + 1} hit the iteration budget")
         p = proj.distribution.probs
@@ -319,33 +307,33 @@ class FullPbrAnalysis(BlockAnalysis):
         return self.statistic
 
 
-def run_martingale(trials: Sequence, functional: Functional) -> MartingaleAnalysis:
-    """Run the mean-based certificate over a recorded trial sequence."""
+def run_martingale(trials: np.ndarray, functional: Functional) -> MartingaleAnalysis:
+    """Run the mean-based certificate over an array of encoded trials."""
     analysis = MartingaleAnalysis(functional)
     analysis.extend(trials)
     return analysis
 
 
 def run_simplified_pbr(
-    trials: Sequence,
+    trials: np.ndarray,
     functions: Sequence[StandardizedFunctional],
     block_size: int = 154,
     controls: OptimizerControls = DEFAULT_CONTROLS,
 ) -> SimplifiedPbrAnalysis:
-    """Run the weighted-function protocol over a recorded trial sequence."""
+    """Run the weighted-function protocol over an array of encoded trials."""
     analysis = SimplifiedPbrAnalysis(functions, block_size, controls)
     analysis.extend(trials)
     return analysis
 
 
 def run_full_pbr(
-    trials: Sequence,
+    trials: np.ndarray,
     scenario: Scenario,
     block_size: int = 154,
     controls: OptimizerControls = DEFAULT_CONTROLS,
     floor: float = 1e-9,
 ) -> FullPbrAnalysis:
-    """Run the polytope-projection protocol over a recorded trial sequence."""
+    """Run the polytope-projection protocol over an array of encoded trials."""
     analysis = FullPbrAnalysis(scenario, block_size, controls, floor)
     analysis.extend(trials)
     return analysis

@@ -59,12 +59,8 @@ class MeasurementBank:
             raise ValueError("both parties must have the same number of settings")
 
 
-def born_distribution(
-    state: PureState,
-    bank: MeasurementBank,
-    setting_distribution: np.ndarray | None = None,
-) -> Distribution:
-    """Trial distribution P(settings, outcomes) = pi(settings) * |<outcome vectors|state>|^2."""
+def born_distribution(state: PureState, bank: MeasurementBank) -> Distribution:
+    """Trial distribution P(settings, outcomes) = pi(settings) * |<outcome vectors|state>|^2, pi uniform."""
     s = len(bank.party_a)
     da, db = state.amplitudes.shape
     if da != db:
@@ -72,7 +68,7 @@ def born_distribution(
     for u in bank.party_a + bank.party_b:
         if u.shape[0] != da:
             raise ValueError("measurement dimension does not match the state")
-    scenario = Scenario(2, s, da, setting_distribution)
+    scenario = Scenario(2, s, da)
     pi = scenario.setting_distribution.reshape(s, s)
     probs = np.zeros((s, s, da, da))
     for u in range(s):

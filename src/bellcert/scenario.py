@@ -11,7 +11,7 @@ import json
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -68,21 +68,8 @@ class Scenario:
     def n_joint_outcomes(self) -> int:
         return self.outcomes_per_setting**self.parties
 
-    def settings_index(self, settings: Sequence[int]) -> int:
-        """Mixed-radix index of a 1-based per-party settings tuple."""
-        s = self.settings_per_party
-        idx = 0
-        for i, u in enumerate(settings):
-            if not 1 <= u <= s:
-                raise ValueError(f"setting {u} of party {i + 1} outside 1..{s}")
-            idx = idx * s + (u - 1)
-        return idx
-
-    def setting_probability(self, settings: Sequence[int]) -> float:
-        return float(self.setting_distribution[self.settings_index(settings)])
-
-    def is_uniform(self, tol: float = 1e-12) -> bool:
-        return bool(np.allclose(self.setting_distribution, 1.0 / self.n_joint_settings, atol=tol))
+    def is_uniform(self) -> bool:
+        return bool(np.allclose(self.setting_distribution, 1.0 / self.n_joint_settings, atol=1e-12))
 
 
 @dataclass(frozen=True)
@@ -196,15 +183,15 @@ def uniform_outcome_distribution(scenario: Scenario) -> Distribution:
     return Distribution(scenario, per)
 
 
-def empirical_distribution(scenario: Scenario, trials: Sequence[TrialResult]) -> Distribution:
-    """Empirical frequency table of a non-empty trial sequence."""
-    if len(trials) == 0:
+def empirical_distribution(scenario: Scenario, codes: np.ndarray) -> Distribution:
+    """Empirical frequency table of a non-empty array of encoded results."""
+    if len(codes) == 0:
         raise ValueError("empirical distribution of an empty trial sequence is undefined")
     k = result_space_size(scenario)
     if k > ENUMERATION_CAP:
         raise SizeLimitError(f"dense frequency table over {k} results exceeds the cap {ENUMERATION_CAP}")
-    counts = np.bincount(encode_trials(scenario, trials), minlength=k)
-    return Distribution(scenario, counts / len(trials), empirical=True)
+    counts = np.bincount(codes, minlength=k)
+    return Distribution(scenario, counts / len(codes), empirical=True)
 
 
 # ---------------------------------------------------------------------------
@@ -290,24 +277,27 @@ def read_trials(path: str | Path, scenario: Scenario) -> np.ndarray:
     return np.frombuffer(out, dtype=np.int64)
 
 
-def write_trials(path: str | Path, scenario: Scenario, trials: Iterable[TrialResult], header: bool = True) -> None:
-    """Inverse of :func:`read_trials`; writes the optional scenario header line."""
+def write_trials(path: str | Path, scenario: Scenario, codes: np.ndarray, header: bool = True) -> None:
+    """Inverse of :func:`read_trials`: one record per encoded result, after the optional scenario header line."""
     with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write(json.dumps({"scenario": scenario_to_json(scenario)}, separators=(",", ":")) + "\n")
-        for x in trials:
+        for x in (decode_result(scenario, int(i)) for i in codes):
             fh.write(json.dumps({"settings": list(x.settings), "outcomes": list(x.outcomes)}, separators=(",", ":")) + "\n")
 
 
 def read_distribution(path: str | Path) -> Distribution:
-    """Read a distribution file ``{"scenario": .., "probs": [..]}``."""
+    """Read a distribution file ``{"scenario": .., "probs": [..]}`` with an optional boolean ``"empirical"``."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     if not (isinstance(obj, dict) and "scenario" in obj and "probs" in obj):
         raise TrialFormatError(f"{path}: distribution file must be a JSON object carrying 'scenario' and 'probs'")
     scenario = scenario_from_json(obj["scenario"])
     probs = _json_numbers(obj["probs"], f"{path}: 'probs'")
-    return Distribution(scenario, probs, empirical=bool(obj.get("empirical", False)))
+    empirical = obj.get("empirical", False)
+    if type(empirical) is not bool:
+        raise TrialFormatError(f"{path}: 'empirical' must be a JSON boolean, got {empirical!r}")
+    return Distribution(scenario, probs, empirical=empirical)
 
 
 def write_distribution(path: str | Path, dist: Distribution) -> None:

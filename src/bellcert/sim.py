@@ -13,10 +13,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .functionals import StandardizedFunctional, build_function_set
+from .functionals import build_function_set
 from .optim import DEFAULT_CONTROLS, OptimizerControls
 from .protocols import PROTOCOLS, get_protocol
-from .scenario import Distribution, TrialResult, decode_result
+from .scenario import Distribution
 
 # Algorithm identifier of the random source, recorded in every report header.
 GENERATOR_ID = "numpy-pcg64"
@@ -35,11 +35,6 @@ def sample_encoded(q: Distribution, n: int, seed: int) -> np.ndarray:
     return np.minimum(idx, q.probs.size - 1).astype(np.int64)
 
 
-def sample_trials(q: Distribution, n: int, seed: int) -> list[TrialResult]:
-    """n i.i.d. trials drawn from q; identical seeds give identical sequences."""
-    return [decode_result(q.scenario, int(i)) for i in sample_encoded(q, n, seed)]
-
-
 @dataclass(frozen=True, eq=False)
 class SimulationPlan:
     """A reproducible experiment: source distribution, length, seed, and protocol choices."""
@@ -52,7 +47,6 @@ class SimulationPlan:
     block_size: int = 154
     controls: OptimizerControls = DEFAULT_CONTROLS
     floor: float = 1e-9
-    label: str = ""
 
     def __post_init__(self):
         if self.n_trials < 1:
@@ -148,14 +142,13 @@ def write_reports(result: ExperimentResult, out_dir: str | Path, per_block: bool
     """Write one report per protocol plus the asymptote table; returns the paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    prefix = (result.plan.label + "_") if result.plan.label else ""
     paths: dict[str, Path] = {}
     for protocol, analysis in result.analyses.items():
-        path = out / f"{prefix}report_{protocol}.csv"
+        path = out / f"report_{protocol}.csv"
         header = _report_header(result.plan, protocol, result.rates[protocol])
         write_report(path, analysis, header, per_block=per_block, block_size=result.plan.block_size)
         paths[protocol] = path
-    asym = out / f"{prefix}asymptotes.csv"
+    asym = out / "asymptotes.csv"
     rows = [(p, f"{result.rates[p]:.12g}", a.n, f"{result.neg_log2_pvalue(p):.12g}") for p, a in result.analyses.items()]
     with open(asym, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# generator={GENERATOR_ID} seed={result.plan.seed}\n")
@@ -170,12 +163,16 @@ def run_seed_sweep(plan: SimulationPlan, seeds: Sequence[int], out_dir: str | Pa
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        prefix = (plan.label + "_") if plan.label else ""
         rows = [[r.plan.seed] + [f"{r.neg_log2_pvalue(p):.12g}" for p in plan.protocols] for r in results]
-        with open(out / f"{prefix}seed_summary.csv", "w", encoding="utf-8", newline="") as fh:
+        with open(out / "seed_summary.csv", "w", encoding="utf-8", newline="") as fh:
             fh.write(f"# generator={GENERATOR_ID}\n")
             fh.write(_csv_text([["seed"] + [f"neg_log2_p_{p}" for p in plan.protocols]] + rows))
     return results
+
+
+# Optimizer budget of the validity runs: small, because prediction quality never
+# affects validity, only the power to reject.
+VALIDITY_CONTROLS = OptimizerControls(300, 1e-6)
 
 
 def validity_exceedance(
@@ -183,28 +180,20 @@ def validity_exceedance(
     n_seeds: int,
     n_trials: int,
     alphas: Sequence[float],
-    protocols: Sequence[str] = PROTOCOL_NAMES,
-    functions: Sequence[StandardizedFunctional] | None = None,
     block_size: int = 10,
     base_seed: int = 0,
-    controls: OptimizerControls | None = None,
-    floor: float = 1e-9,
 ) -> dict[str, dict[float, float]]:
-    """Empirical Prob(final p <= alpha) over many seeded runs on LR-model data.
+    """Empirical Prob(final p <= alpha) for every protocol over many seeded runs on LR-model data.
 
     For data from any LR model every protocol must keep this at or below
-    alpha (up to Monte Carlo noise).  The default optimizer budget is small:
-    prediction quality never affects validity, only the power to reject.
+    alpha (up to Monte Carlo noise).
     """
-    controls = controls or OptimizerControls(max_iterations=300, rel_tolerance=1e-6)
-    if functions is None:
-        functions = build_function_set(_default_function_names(q_lr), q_lr.scenario)
-    runs = {p: get_protocol(p).run for p in protocols}
-    counts = {p: {float(a): 0 for a in alphas} for p in protocols}
+    functions = build_function_set(_default_function_names(q_lr), q_lr.scenario)
+    counts = {p: {float(a): 0 for a in alphas} for p in PROTOCOLS}
     for i in range(n_seeds):
         encoded = sample_encoded(q_lr, n_trials, base_seed + i)
-        for protocol, run in runs.items():
-            p_final = run(encoded, functions, block_size, controls, floor).pvalue
+        for protocol, entry in PROTOCOLS.items():
+            p_final = entry.run(encoded, functions, block_size, VALIDITY_CONTROLS, 1e-9).pvalue
             for a in counts[protocol]:
                 if p_final <= a:
                     counts[protocol][a] += 1

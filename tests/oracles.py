@@ -310,9 +310,7 @@ def maximize_log_gain_squarem_reference(r_values, freq, max_iterations=100_000, 
     )
 
 
-def kl_project_lr_squarem_reference(
-    q_probs, indices, setting_w, max_iterations=100_000, rel_tolerance=1e-8, warm_start=None
-):
+def kl_project_lr_squarem_reference(q_probs, indices, setting_w, max_iterations=100_000, rel_tolerance=1e-8):
     """The LR projection by EM with SQUAREM steps and a KKT-gap stop, as a plain bit-for-bit reference.
 
     ``indices[h, j]`` is the result strategy h gives under joint setting j,
@@ -335,10 +333,7 @@ def kl_project_lr_squarem_reference(
     if np.any(e_sup.max(axis=0) <= 0.0):
         uniform = np.full(h, 1.0 / h)
         return uniform, mixture(uniform), math.inf, 0, True
-    if warm_start is not None:
-        lam = (1.0 - 1e-12) * np.asarray(warm_start, dtype=float) + 1e-12 / h
-    else:
-        lam = np.full(h, 1.0 / h)
+    lam = np.full(h, 1.0 / h)
     # maximize minus the divergence D(q | p) = sum q log2(q / p)
     lam, neg_div, iterations, converged = _squarem_em_reference(
         e_sup.T, qs, lam, lambda p: -float(np.dot(qs, np.log2(qs / p))), max_iterations, rel_tolerance

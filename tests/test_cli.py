@@ -7,7 +7,7 @@ from bellcert import (
     build_function_set,
     read_distribution,
     run_simplified_pbr,
-    sample_trials,
+    sample_encoded,
     write_trials,
 )
 from bellcert.cli import main
@@ -16,14 +16,14 @@ from bellcert.cli import main
 @pytest.fixture()
 def trial_file(tmp_path, chsh_q):
     sc = Scenario(2, 2, 2)
-    trials = sample_trials(chsh_q, 80, seed=1)
+    codes = sample_encoded(chsh_q, 80, seed=1)
     path = tmp_path / "trials.jsonl"
-    write_trials(path, sc, trials)
-    return path, trials
+    write_trials(path, sc, codes)
+    return path, codes
 
 
 def test_analyze_matches_library(tmp_path, capsys, trial_file, chsh_scenario):
-    path, trials = trial_file
+    path, codes = trial_file
     rc = main(
         ["analyze", str(path), "--scenario", "2,2,2", "--functions", "chsh",
          "--protocol", "mart,spbr", "--block", "20", "--out", str(tmp_path / "out")]
@@ -31,7 +31,7 @@ def test_analyze_matches_library(tmp_path, capsys, trial_file, chsh_scenario):
     assert rc == 0
     out = capsys.readouterr().out
     functions = build_function_set(["chsh"], chsh_scenario)
-    expected = run_simplified_pbr(trials, functions, block_size=20)
+    expected = run_simplified_pbr(codes, functions, block_size=20)
     assert f"p_value={expected.pvalue:.10g}" in out
     assert (tmp_path / "out" / "report_spbr.csv").exists()
     assert (tmp_path / "out" / "report_mart.csv").exists()
@@ -61,7 +61,7 @@ def test_analyze_malformed_file(tmp_path, capsys):
 
 def test_analyze_scenario_mismatch(tmp_path, chsh_q):
     path = tmp_path / "t.jsonl"
-    write_trials(path, Scenario(2, 2, 2), sample_trials(chsh_q, 5, seed=0))
+    write_trials(path, Scenario(2, 2, 2), sample_encoded(chsh_q, 5, seed=0))
     rc = main(["analyze", str(path), "--scenario", "2,2,3"])
     assert rc == 3
 
@@ -88,6 +88,14 @@ def test_simulate_multi_seed(tmp_path, capsys):
     assert (tmp_path / "seed_summary.csv").exists()
     out = capsys.readouterr().out
     assert out.count("seed=") == 3
+
+
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_simulate_refuses_fewer_than_one_seed(tmp_path, capsys, seeds):
+    argv = ["simulate", "--config", "chsh:0.785398", "--trials", "300", "--seeds", seeds, "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_gain_sweep_row_count(capsys):
@@ -235,6 +243,9 @@ def test_abbreviated_flags_are_usage_errors(tmp_path, capsys, trial_file, abbrev
         {"scenario": {"l": 2, "s": 2, "d": 2}, "probs": {"a": 1}},
         {"scenario": {"l": 2, "s": 2, "d": 2.5}, "probs": [1 / 16] * 16},
         {"scenario": {"l": 2, "s": 2, "d": "2"}, "probs": [1 / 16] * 16},
+        {"scenario": {"l": 2, "s": 2, "d": 2}, "probs": [1 / 16] * 16, "empirical": "no"},
+        {"scenario": {"l": 2, "s": 2, "d": 2}, "probs": [1 / 16] * 16, "empirical": 1},
+        {"scenario": {"l": 2, "s": 2, "d": 2}, "probs": [1 / 16] * 16, "empirical": None},
     ],
 )
 def test_simulate_refuses_a_wrongly_typed_distribution_file(tmp_path, capsys, obj):

@@ -22,7 +22,6 @@ from bellcert import (
     standardize,
     trivial_standardized,
     uniform_outcome_distribution,
-    value_table,
 )
 from bellcert.functionals import resolve_catalog_name
 
@@ -97,7 +96,7 @@ def test_cglmp_lr_bound_attained(d):
 
 
 def test_cglmp_d2_is_affine_in_chsh(chsh_scenario):
-    f2 = cglmp_functional(chsh_scenario, 2)
+    f2 = cglmp_functional(chsh_scenario)
     fc = chsh_functional(chsh_scenario)
     # fit I_2 = alpha * I_CHSH + beta over the 16 results
     a = np.column_stack([fc.table, np.ones(16)])
@@ -108,13 +107,11 @@ def test_cglmp_d2_is_affine_in_chsh(chsh_scenario):
     assert alpha * 2.0 + beta == pytest.approx(2.0, abs=1e-12)
 
 
-def test_cglmp_errors(chsh_scenario):
+def test_cglmp_errors():
     with pytest.raises(ValueError):
         cglmp_functional(Scenario(2, 2, 1))
     with pytest.raises(ValueError):
         cglmp_functional(Scenario(2, 3, 3))
-    with pytest.raises(ValueError):
-        cglmp_functional(chsh_scenario, d=3)
 
 
 def test_bounds_by_enumeration(chsh_scenario):
@@ -182,10 +179,10 @@ def test_expectation_against_uniform(chsh_scenario):
 
 def test_value_table_matches_evaluate(chsh_scenario):
     f = chsh_functional(chsh_scenario)
-    t = value_table(f)
+    t = f.table
     assert t.shape == (16,)
     r = standardize(f)
-    assert np.allclose(value_table(r), (t + 4.0) / 6.0)
+    assert np.allclose(r.table, (t + 4.0) / 6.0)
 
 
 def test_catalog_names(chsh_scenario, cglmp3_scenario):

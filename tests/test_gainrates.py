@@ -15,7 +15,6 @@ from bellcert import (
     log_gain,
     optimal_gain,
     uniform_outcome_distribution,
-    value_table,
 )
 
 
@@ -99,7 +98,7 @@ def test_mart_bounded_by_spbr_randomized(chsh_scenario):
     # the feasible witness w0 = (Iq - B)/(a - B) already reaches the closed form
     rng = np.random.default_rng(99)
     functions = build_function_set(["chsh"], chsh_scenario)
-    r = np.column_stack([np.ones(16), value_table(functions[1])])
+    r = np.column_stack([np.ones(16), functions[1].table])
     f = build_function_set(["chsh"], chsh_scenario)[1].source
     table = f.table
     tight = OptimizerControls(rel_tolerance=1e-13)

@@ -9,18 +9,16 @@ from bellcert import (
     Scenario,
     ScenarioMismatchError,
     SizeLimitError,
-    encode_trials,
     kl_divergence,
     kl_project_lr,
     log_gain,
     maximize_log_gain,
     mixture_distribution,
-    sample_trials,
+    sample_encoded,
     standardize,
     strategy_result_indices,
     chsh_functional,
     uniform_outcome_distribution,
-    value_table,
 )
 
 from bellcert.optim import DEFAULT_CONTROLS
@@ -36,7 +34,7 @@ from oracles import (
 
 
 def _chsh_columns(scenario):
-    r = value_table(standardize(chsh_functional(scenario)))
+    r = standardize(chsh_functional(scenario)).table
     return np.column_stack([np.ones(16), r])
 
 
@@ -198,13 +196,6 @@ def test_kl_project_monotone(cglmp3_q):
         assert b <= a + 1e-12
 
 
-def test_kl_project_warm_start(cglmp3_q):
-    cold = kl_project_lr(cglmp3_q)
-    warm = kl_project_lr(cglmp3_q, warm_start=cold.mixture)
-    assert warm.divergence == pytest.approx(cold.divergence, abs=1e-9)
-    assert warm.iterations <= cold.iterations
-
-
 def test_kl_project_matches_projected_gradient(chsh_scenario):
     rng = np.random.default_rng(123)
     table = enumerate_strategy_distributions(2, 2, 2)
@@ -290,7 +281,7 @@ def cglmp3_projection_cases(cglmp3_q):
     """The full protocol's use: floored frequencies of a growing sample, with the best oracle divergence."""
     table = enumerate_strategy_distributions(2, 2, 3)
     indices, setting_w = strategy_result_indices(cglmp3_q.scenario)
-    codes = encode_trials(cglmp3_q.scenario, sample_trials(cglmp3_q, 616, seed=3))
+    codes = sample_encoded(cglmp3_q, 616, seed=3)
     cases = []
     for n in (308, 462, 616):
         freq = (1.0 - 1e-9) * np.bincount(codes[:n], minlength=36) / n + 1e-9 / 36
@@ -316,16 +307,6 @@ def test_kl_project_within_the_gap_of_the_oracle_optimum(cglmp3_projection_cases
             assert proj.divergence <= oracle_div + GAP_BITS
 
 
-def test_kl_project_cold_and_warm_agree_within_the_gap(cglmp3_projection_cases):
-    warm = None
-    for q, _ in cglmp3_projection_cases:
-        cold = kl_project_lr(q)
-        warmed = kl_project_lr(q, warm_start=warm)
-        assert cold.converged and warmed.converged
-        assert abs(cold.divergence - warmed.divergence) <= GAP_BITS
-        warm = cold.mixture
-
-
 def _assert_projection_is_reference(proj, reference):
     lam, probs, div, iterations, converged = reference
     assert np.array_equal(proj.mixture, lam)
@@ -337,17 +318,15 @@ def _assert_projection_is_reference(proj, reference):
 
 @pytest.mark.parametrize("budget", BUDGETS)
 def test_kl_project_bit_identical_to_reference(cglmp3_projection_cases, budget):
-    # the full protocol's use: each block warm-started from the previous block's mixture
+    # the full protocol's use: each block's projection starts cold
     indices, setting_w = strategy_result_indices(cglmp3_projection_cases[0][0].scenario)
     controls = _controls_for(budget)
-    warm = None
     for q, _ in cglmp3_projection_cases:
-        proj = kl_project_lr(q, controls=controls, warm_start=warm)
+        proj = kl_project_lr(q, controls)
         reference = kl_project_lr_squarem_reference(
-            q.probs, indices, setting_w, controls.max_iterations, controls.rel_tolerance, warm
+            q.probs, indices, setting_w, controls.max_iterations, controls.rel_tolerance
         )
         _assert_projection_is_reference(proj, reference)
-        warm = proj.mixture
 
 
 def test_kl_project_unreachable_result_is_reference():

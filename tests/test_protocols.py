@@ -12,6 +12,7 @@ from bellcert import (
     build_function_set,
     chsh_functional,
     encode_result,
+    encode_trials,
     gain_martingale,
     martingale_pvalue,
     pbr_pvalue,
@@ -89,7 +90,7 @@ def test_run_martingale_alternating(chsh_scenario):
     f = chsh_functional(chsh_scenario)
     plus = TrialResult((1, 1), (0, 0))  # I = +4
     minus = TrialResult((2, 2), (0, 0))  # I = -4
-    analysis = run_martingale([plus, minus] * 10, f)
+    analysis = run_martingale(encode_trials(chsh_scenario, [plus, minus] * 10), f)
     assert analysis.mean == 0.0
     assert analysis.pvalue == 1.0
 
@@ -98,7 +99,7 @@ def test_run_martingale_all_max(chsh_scenario):
     f = chsh_functional(chsh_scenario)
     plus = TrialResult((1, 1), (0, 0))
     n = 25
-    analysis = run_martingale([plus] * n, f)
+    analysis = run_martingale(encode_trials(chsh_scenario, [plus] * n), f)
     assert analysis.pvalue == pytest.approx((3.0 / 4.0) ** n, rel=1e-12)
     hist = analysis.history()
     assert hist.shape == (n, 3)
@@ -125,7 +126,7 @@ def test_spbr_zero_r_data_keeps_trivial_weights(chsh_scenario):
     # refit returns the trivial weighting and the p-value stays 1
     functions = build_function_set(["chsh"], chsh_scenario)
     x = TrialResult((2, 2), (0, 0))  # I = -4, r = 0
-    analysis = run_simplified_pbr([x] * 60, functions, block_size=10)
+    analysis = run_simplified_pbr(encode_trials(chsh_scenario, [x] * 60), functions, block_size=10)
     assert analysis.log2_t == 0.0
     assert analysis.pvalue == 1.0
     for _, w in analysis.block_weights:
@@ -167,17 +168,6 @@ def test_spbr_prefix_is_valid_certificate(chsh_scenario, chsh_q):
         partial = run_simplified_pbr(enc[:k], functions, block_size=50)
         assert partial.log2_t == pytest.approx(full.history()[k - 1, 1], rel=1e-12, abs=1e-12)
         assert partial.pvalue == full.history()[k - 1, 2]
-
-
-def test_spbr_accepts_trial_objects(chsh_scenario, chsh_q):
-    from bellcert import decode_result
-
-    functions = build_function_set(["chsh"], chsh_scenario)
-    enc = sample_encoded(chsh_q, 90, seed=5)
-    objs = [decode_result(chsh_scenario, int(i)) for i in enc]
-    assert run_simplified_pbr(objs, functions, block_size=30).log2_t == pytest.approx(
-        run_simplified_pbr(enc, functions, block_size=30).log2_t
-    )
 
 
 def test_spbr_gains_on_quantum_data(chsh_scenario, chsh_q):
@@ -239,10 +229,20 @@ def _run_named(protocol, trials, scenario, block_size=154):
 
 
 @pytest.mark.parametrize("protocol", ["mart", "spbr", "fpbr"])
-@pytest.mark.parametrize("bad", [16, -1, 2**40])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([3, 16, 0], dtype=np.int64),
+        np.array([3, -1, 0], dtype=np.int64),
+        np.array([3, 2**40, 0], dtype=np.int64),
+        [TrialResult((1, 1), (0, 0))] * 3,  # records are encoded at the file boundary, never here
+        np.array([3.0, 1.0, 0.0]),
+    ],
+    ids=["16", "-1", "1099511627776", "records", "floats"],
+)
 def test_out_of_range_indices_raise(chsh_scenario, protocol, bad):
     with pytest.raises(ValueError):
-        _run_named(protocol, np.array([3, bad, 0], dtype=np.int64), chsh_scenario)
+        _run_named(protocol, bad, chsh_scenario)
 
 
 @pytest.mark.parametrize("protocol", ["mart", "spbr", "fpbr"])

@@ -103,7 +103,7 @@ def test_chsh_config_range():
 def test_cglmp_config_d2_tsirelson():
     state, bank = cglmp_config(2)
     q = born_distribution(state, bank)
-    f = cglmp_functional(q.scenario, 2)
+    f = cglmp_functional(q.scenario)
     assert expectation(f, q) == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-6)
 
 
@@ -112,7 +112,7 @@ def test_cglmp_config_d3_reference_state():
     amps = np.real(np.diag(state.amplitudes))
     assert np.allclose(amps, np.array([2.0, math.sqrt(3.0), 2.0]) / math.sqrt(11.0), atol=1e-12)
     q = born_distribution(state, bank)
-    value = expectation(cglmp_functional(q.scenario, 3), q)
+    value = expectation(cglmp_functional(q.scenario), q)
     assert value == pytest.approx(32.0 / 11.0, abs=1e-9)
     assert value > 2.0  # genuine violation
 
@@ -122,7 +122,7 @@ def test_cglmp_config_beats_flat_state(d):
     # the shipped amplitudes should do at least as well as the flat state
     state, bank = cglmp_config(d)
     q = born_distribution(state, bank)
-    f = cglmp_functional(q.scenario, d)
+    f = cglmp_functional(q.scenario)
     best = expectation(f, q)
     flat = PureState(np.diag(np.full(d, 1.0 / math.sqrt(d))).astype(complex))
     assert best >= expectation(f, born_distribution(flat, bank)) - 1e-9

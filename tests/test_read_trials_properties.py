@@ -1,8 +1,8 @@
 """Property tests for the line-cached trial ingest, ``read_trials``.
 
-Each check compares the int64 codes read back from a file against
-``encode_trials`` on the records that were written, or pins the line number
-that a malformed file is refused at.
+Each check compares the int64 codes read back from a file against the codes
+that were written, or pins the line number that a malformed file is refused
+at.
 """
 import json
 from unittest import mock
@@ -21,17 +21,16 @@ from bellcert import (
     result_space_size,
     write_trials,
 )
-from bellcert.scenario import encode_trials, scenario_to_json
+from bellcert.scenario import scenario_to_json
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
 
 @st.composite
-def scenarios_and_trials(draw, max_trials=40):
+def scenarios_and_codes(draw, max_trials=40):
     sc = Scenario(draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
     k = result_space_size(sc)
-    indices = draw(st.lists(st.integers(0, k - 1), max_size=max_trials))
-    return sc, [decode_result(sc, i) for i in indices]
+    return sc, np.array(draw(st.lists(st.integers(0, k - 1), max_size=max_trials)), dtype=np.int64)
 
 
 # a line as write_trials emits it, or the same record with other key order and spacing
@@ -47,11 +46,11 @@ def _vary(line: str, variant) -> str:
 
 
 @SETTINGS
-@given(data=scenarios_and_trials(), header=st.booleans(), variants=st.lists(line_variant, max_size=40), blanks=st.booleans())
+@given(data=scenarios_and_codes(), header=st.booleans(), variants=st.lists(line_variant, max_size=40), blanks=st.booleans())
 def test_written_records_read_back_as_their_codes(tmp_path_factory, data, header, variants, blanks):
-    sc, trials = data
+    sc, codes = data
     path = tmp_path_factory.mktemp("rt") / "t.jsonl"
-    write_trials(path, sc, trials, header=header)
+    write_trials(path, sc, codes, header=header)
     lines = path.read_text(encoding="utf-8").splitlines()
     first = 1 if header else 0
     for i, variant in enumerate(variants[: len(lines) - first]):
@@ -60,7 +59,7 @@ def test_written_records_read_back_as_their_codes(tmp_path_factory, data, header
     path.write_text(text + ("\n" if lines else ""), encoding="utf-8")
     back = read_trials(path, sc)
     assert back.dtype == np.int64
-    assert np.array_equal(back, encode_trials(sc, trials))
+    assert np.array_equal(back, codes)
 
 
 MALFORMED = [
@@ -106,16 +105,17 @@ def test_scenario_header_after_line_one_is_refused(tmp_path_factory, before, hea
 
 
 @SETTINGS
-@given(data=scenarios_and_trials(max_trials=60), cap=st.integers(0, 5))
+@given(data=scenarios_and_codes(max_trials=60), cap=st.integers(0, 5))
 def test_more_distinct_lines_than_the_cache_holds(tmp_path_factory, data, cap):
-    sc, trials = data
+    sc, codes = data
     # an extra key gives one record several line texts, so the cache fills after `cap` of them
+    trials = [decode_result(sc, int(c)) for c in codes]
     lines = [json.dumps({"settings": list(x.settings), "outcomes": list(x.outcomes), "id": i % 7}) for i, x in enumerate(trials)]
     path = tmp_path_factory.mktemp("cap") / "t.jsonl"
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     with mock.patch.object(scenario_module, "LINE_CACHE_SIZE", cap):
         back = read_trials(path, sc)
-    assert np.array_equal(back, encode_trials(sc, trials))
+    assert np.array_equal(back, codes)
 
 
 def test_full_cache_still_validates_new_lines(tmp_path):

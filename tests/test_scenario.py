@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from bellcert import (
     read_distribution,
     read_trials,
     result_space_size,
-    sample_trials,
+    sample_encoded,
     uniform_outcome_distribution,
     write_distribution,
     write_trials,
@@ -44,7 +46,7 @@ def test_scenario_validation():
         Scenario(2, 2, 2, np.array([0.5, 0.5, 0.1, 0.1]))
     sc = Scenario(2, 2, 2, np.array([0.4, 0.1, 0.3, 0.2]))
     assert not sc.is_uniform()
-    assert sc.setting_probability((1, 2)) == 0.1
+    assert sc.setting_distribution[1] == 0.1
 
 
 def test_encode_examples(chsh_scenario):
@@ -85,7 +87,7 @@ def test_decode_out_of_range(chsh_scenario):
 
 def test_empirical_point_mass(chsh_scenario):
     x0 = TrialResult((1, 2), (1, 0))
-    dist = empirical_distribution(chsh_scenario, [x0] * 4)
+    dist = empirical_distribution(chsh_scenario, encode_trials(chsh_scenario, [x0] * 4))
     expected = np.zeros(16)
     expected[encode_result(chsh_scenario, x0)] = 1.0
     assert np.array_equal(dist.probs, expected)
@@ -94,7 +96,7 @@ def test_empirical_point_mass(chsh_scenario):
 
 def test_empirical_two_point(chsh_scenario):
     x0, x1 = TrialResult((1, 1), (0, 0)), TrialResult((2, 1), (1, 1))
-    dist = empirical_distribution(chsh_scenario, [x0, x1])
+    dist = empirical_distribution(chsh_scenario, encode_trials(chsh_scenario, [x0, x1]))
     assert dist.probs[encode_result(chsh_scenario, x0)] == 0.5
     assert dist.probs[encode_result(chsh_scenario, x1)] == 0.5
 
@@ -105,14 +107,12 @@ def test_empirical_empty_rejected(chsh_scenario):
 
 
 def test_empirical_concentrates_on_source(chsh_q):
-    trials = sample_trials(chsh_q, 10_000, seed=42)
-    freq = empirical_distribution(chsh_q.scenario, trials)
+    freq = empirical_distribution(chsh_q.scenario, sample_encoded(chsh_q, 10_000, seed=42))
     assert np.max(np.abs(freq.probs - chsh_q.probs)) < 0.02
 
 
 def test_empirical_sum_and_grid(chsh_scenario, chsh_q):
-    trials = sample_trials(chsh_q, 997, seed=3)
-    freq = empirical_distribution(chsh_scenario, trials)
+    freq = empirical_distribution(chsh_scenario, sample_encoded(chsh_q, 997, seed=3))
     assert abs(freq.probs.sum() - 1.0) < 1e-12
     # entries are multiples of 1/n up to rounding
     assert np.allclose(freq.probs * 997, np.round(freq.probs * 997), atol=1e-9)
@@ -143,12 +143,12 @@ def test_uniform_outcome_distribution(chsh_scenario):
 
 
 def test_trials_roundtrip(tmp_path, chsh_scenario, chsh_q):
-    trials = sample_trials(chsh_q, 1000, seed=11)
+    codes = sample_encoded(chsh_q, 1000, seed=11)
     path = tmp_path / "trials.jsonl"
-    write_trials(path, chsh_scenario, trials)
+    write_trials(path, chsh_scenario, codes)
     back = read_trials(path, chsh_scenario)
     assert back.dtype == np.int64
-    assert np.array_equal(back, encode_trials(chsh_scenario, trials))
+    assert np.array_equal(back, codes)
 
 
 def test_trials_empty_file(tmp_path, chsh_scenario):
@@ -206,6 +206,15 @@ def test_distribution_file_roundtrip(tmp_path, chsh_q):
     back = read_distribution(path)
     assert np.allclose(back.probs, chsh_q.probs)
     assert back.scenario.outcomes_per_setting == 2
+
+
+@pytest.mark.parametrize("empirical", ["no", 1, None])
+def test_distribution_file_empirical_must_be_a_boolean(tmp_path, chsh_q, empirical):
+    path = tmp_path / "dist.json"
+    write_distribution(path, chsh_q)
+    path.write_text(json.dumps({**json.loads(path.read_text()), "empirical": empirical}))
+    with pytest.raises(TrialFormatError, match="'empirical' must be a JSON boolean"):
+        read_distribution(path)
 
 
 def test_encode_trials_vector(chsh_scenario):

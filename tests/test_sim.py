@@ -11,7 +11,6 @@ from bellcert import (
     run_experiment,
     run_seed_sweep,
     sample_encoded,
-    sample_trials,
     uniform_outcome_distribution,
     validity_exceedance,
 )
@@ -21,17 +20,17 @@ from oracles import write_report_reference
 
 
 def test_sample_empty(chsh_q):
-    assert sample_trials(chsh_q, 0, seed=1) == []
+    assert sample_encoded(chsh_q, 0, seed=1).size == 0
     with pytest.raises(ValueError):
         sample_encoded(chsh_q, -1, seed=1)
 
 
 def test_sample_deterministic(chsh_q):
-    a = sample_trials(chsh_q, 500, seed=9)
-    b = sample_trials(chsh_q, 500, seed=9)
-    c = sample_trials(chsh_q, 500, seed=10)
-    assert a == b
-    assert a != c
+    a = sample_encoded(chsh_q, 500, seed=9)
+    b = sample_encoded(chsh_q, 500, seed=9)
+    c = sample_encoded(chsh_q, 500, seed=10)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_sample_mean_within_band(chsh_q):
