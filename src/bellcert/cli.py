@@ -113,6 +113,8 @@ def cmd_analyze(args) -> int:
 def cmd_simulate(args) -> int:
     if args.seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
+    if args.per_block and args.seeds > 1:
+        raise ValueError("--per-block needs --seeds 1: a seed sweep writes only seed_summary.csv")
     source = _source_distribution(args)
     names = tuple(n for n in args.functions.split(",") if n) if args.functions else ()
     plan = sim.SimulationPlan(

@@ -14,9 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ScenarioMismatchError, SizeLimitError, StandardizationError, TrialFormatError, UnknownFunctionalError
+from .errors import ScenarioMismatchError, StandardizationError, TrialFormatError, UnknownFunctionalError
 from .lrpolytope import STRATEGY_CAP, strategy_count, vertex_expectations
-from .scenario import ENUMERATION_CAP, Distribution, Scenario, _frozen, result_space_size, scenario_from_json
+from .scenario import Distribution, Scenario, _dense_size, _frozen, result_space_size, scenario_from_json
 from .scenario import _json_numbers
 
 
@@ -73,9 +73,7 @@ def standardize(f: Functional) -> StandardizedFunctional:
 
 def trivial_standardized(scenario: Scenario) -> StandardizedFunctional:
     """The constant function r = 1, always a valid (uninformative) weighting target."""
-    k = result_space_size(scenario)
-    if k > ENUMERATION_CAP:
-        raise SizeLimitError(f"cannot tabulate the trivial function: {k} results exceed the cap {ENUMERATION_CAP}")
+    k = _dense_size(scenario)
     return StandardizedFunctional(name="trivial", scenario=scenario, table=np.ones(k), is_trivial=True)
 
 

@@ -22,7 +22,7 @@ from .functionals import (
     expectation,
 )
 from .optim import DEFAULT_CONTROLS, GainOptimum, OptimizerControls, kl_project_lr, maximize_log_gain
-from .scenario import Distribution
+from .scenario import Distribution, _check_same_scenario
 
 
 def gain_martingale(i_q, a: float, b: float, bound: float):
@@ -56,6 +56,8 @@ def gain_spbr(
     """
     if not functions or not functions[0].is_trivial:
         raise ValueError("functions must start with the trivial function")
+    for f in functions:
+        _check_same_scenario(f.scenario, q.scenario, f"function {f.name!r}")
     return maximize_log_gain(np.column_stack([f.table for f in functions]), q.probs, controls)
 
 

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SizeLimitError
-from .scenario import Distribution, Scenario, result_space_size
+from .scenario import Distribution, Scenario, _dense_size, result_space_size
 
 # Largest strategy space the full (polytope-searching) protocol will touch.
 STRATEGY_CAP = 2**20
@@ -51,22 +51,18 @@ def strategy_result_indices(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]
     that setting's probability; strategy h's distribution puts ``weights[j]``
     on ``indices[h, j]`` and nothing elsewhere.
     """
-    h = _require_within_caps(scenario)
+    return _result_indices(scenario, enumerate_strategies(scenario)), scenario.setting_distribution.copy()
+
+
+def _result_indices(scenario: Scenario, strategies: np.ndarray) -> np.ndarray:
+    """(H, n_joint) encoded result of each (l, s) outcome table in ``strategies`` under each joint setting."""
     l, s, d = scenario.parties, scenario.settings_per_party, scenario.outcomes_per_setting
-    n_joint = scenario.n_joint_settings
-    strategies = enumerate_strategies(scenario)  # (H, l, s)
-    joint = np.arange(n_joint, dtype=np.int64)
-    setting_digit = np.empty((n_joint, l), dtype=np.int64)
+    joint = np.arange(scenario.n_joint_settings, dtype=np.int64)
+    indices = joint * d**l  # the settings digits; party p's outcome digit has weight d^(l-1-p)
     for p in range(l):
-        setting_digit[:, p] = (joint // s ** (l - 1 - p)) % s
-    indices = np.zeros((h, n_joint), dtype=np.int64)
-    base_out = d**l
-    for j in range(n_joint):
-        outcome_index = np.zeros(h, dtype=np.int64)
-        for p in range(l):
-            outcome_index = outcome_index * d + strategies[:, p, setting_digit[j, p]]
-        indices[:, j] = joint[j] * base_out + outcome_index
-    return indices, scenario.setting_distribution.copy()
+        # np.take keeps the table row-major; on a column-major one fpbr's ratio[indices] @ w rounds differently
+        indices = indices + np.take(strategies[:, p], (joint // s ** (l - 1 - p)) % s, axis=1) * d ** (l - 1 - p)
+    return indices
 
 
 def strategy_distribution(scenario: Scenario, strategy: np.ndarray | Sequence[Sequence[int]]) -> Distribution:
@@ -77,15 +73,8 @@ def strategy_distribution(scenario: Scenario, strategy: np.ndarray | Sequence[Se
         raise ValueError(f"strategy table must have shape ({l}, {s})")
     if np.any(table < 0) or np.any(table >= d):
         raise ValueError(f"strategy outcomes must lie in 0..{d - 1}")
-    k = result_space_size(scenario)
-    probs = np.zeros(k)
-    n_joint = scenario.n_joint_settings
-    for j in range(n_joint):
-        digits = [(j // s ** (l - 1 - p)) % s for p in range(l)]
-        out_idx = 0
-        for p in range(l):
-            out_idx = out_idx * d + int(table[p, digits[p]])
-        probs[j * d**l + out_idx] = scenario.setting_distribution[j]
+    probs = np.zeros(_dense_size(scenario))
+    probs[_result_indices(scenario, table[None])[0]] = scenario.setting_distribution
     return Distribution(scenario, probs)
 
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScenarioMismatchError, SizeLimitError
+from .errors import SizeLimitError
 from .lrpolytope import _mixture_probs, strategy_count, strategy_result_indices
-from .scenario import Distribution, result_space_size
+from .scenario import Distribution, _check_same_scenario, result_space_size
 
 # Dense (strategies x support) work arrays are capped at this many entries.
 PROJECTION_TABLE_CAP = 2**24
@@ -152,7 +152,7 @@ def maximize_log_gain(
     r, f = _check_gain_inputs(r_values, freq)
     if r.shape[1] < 1:
         raise ValueError("at least the trivial function is required")
-    if not np.allclose(r[:, 0], 1.0, atol=1e-12):
+    if not np.allclose(r[:, 0], 1.0, rtol=0, atol=1e-12):
         raise ValueError("column 0 of r_values must be the trivial (all ones) function")
     active = f > 0.0
     r, f = r[active], f[active]
@@ -164,9 +164,7 @@ def maximize_log_gain(
 
 def kl_divergence(q: Distribution, p: Distribution) -> float:
     """Base-2 Kullback-Leibler divergence D(q|p); +inf when q is not absolutely continuous w.r.t. p."""
-    if q.scenario is not p.scenario:
-        if result_space_size(q.scenario) != result_space_size(p.scenario):
-            raise ScenarioMismatchError("distributions live on different result spaces")
+    _check_same_scenario(q.scenario, p.scenario, "kl_divergence")
     sup = q.probs > 0.0
     if np.any(p.probs[sup] <= 0.0):
         return math.inf

@@ -21,12 +21,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import SizeLimitError
 from .functionals import Functional, StandardizedFunctional, expectation
 from .gainrates import gain_martingale, gain_spbr, optimal_gain
 from .lrpolytope import strategy_result_indices
 from .optim import DEFAULT_CONTROLS, OptimizerControls, kl_project_lr, maximize_log_gain
-from .scenario import ENUMERATION_CAP, Distribution, Scenario, result_space_size
+from .scenario import Distribution, Scenario, _check_same_scenario, _dense_size, _encoded
 
 # Smallest positive double; reported p-values are clamped here instead of 0.
 P_FLOOR = 5e-324
@@ -75,19 +74,6 @@ def azuma_pvalue(i_hat: float, n: int, a: float, b: float, bound: float) -> floa
         return 1.0
     t = (i_hat - bound) / (a - b)
     return max(math.exp(-2.0 * n * t * t), P_FLOOR)
-
-
-def _encoded(trials, k: int) -> np.ndarray:
-    """Trials as int64 result indices: a 1-d integer array, every entry in 0..k-1."""
-    enc = np.asarray(trials)
-    if enc.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    if enc.ndim != 1 or enc.dtype.kind not in "iu":
-        raise ValueError("trials must be a 1-d array of integer result indices")
-    lo, hi = int(enc.min()), int(enc.max())
-    if lo < 0 or hi >= k:
-        raise ValueError(f"encoded result index {lo if lo < 0 else hi} outside 0..{k - 1}")
-    return enc.astype(np.int64, copy=False)
 
 
 class BlockAnalysis:
@@ -225,8 +211,7 @@ class SimplifiedPbrAnalysis(BlockAnalysis):
             raise ValueError("functions[0] must be the trivial function")
         scenario = functions[0].scenario
         for f in functions:
-            if f.scenario is not scenario and result_space_size(f.scenario) != result_space_size(scenario):
-                raise ValueError("all functions must share one scenario")
+            _check_same_scenario(f.scenario, scenario, f"function {f.name!r}")
         self.controls = controls
         self.weights = np.zeros(len(functions))
         self.weights[0] = 1.0
@@ -274,9 +259,7 @@ class FullPbrAnalysis(BlockAnalysis):
     ):
         if not 0.0 <= floor < 1.0:
             raise ValueError("floor must lie in [0, 1)")
-        k = result_space_size(scenario)
-        if k > ENUMERATION_CAP:
-            raise SizeLimitError(f"full protocol needs a dense result table; {k} exceeds {ENUMERATION_CAP}")
+        k = _dense_size(scenario)
         self.controls = controls
         self.floor = floor
         self._indices, self._setting_w = strategy_result_indices(scenario)

@@ -47,7 +47,7 @@ class MeasurementBank:
                 u = np.asarray(u, dtype=complex)
                 if u.ndim != 2 or u.shape[0] != u.shape[1]:
                     raise ValueError(f"{label} setting {i + 1}: basis must be square")
-                if not np.allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=1e-10):
+                if not np.allclose(u.conj().T @ u, np.eye(u.shape[0]), rtol=0, atol=1e-10):
                     raise ValueError(f"{label} setting {i + 1}: basis is not orthonormal within 1e-10")
                 u.flags.writeable = False
                 frozen.append(u)

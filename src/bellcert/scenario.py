@@ -69,7 +69,7 @@ class Scenario:
         return self.outcomes_per_setting**self.parties
 
     def is_uniform(self) -> bool:
-        return bool(np.allclose(self.setting_distribution, 1.0 / self.n_joint_settings, atol=1e-12))
+        return bool(np.allclose(self.setting_distribution, 1.0 / self.n_joint_settings, rtol=0, atol=1e-12))
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,27 @@ def result_space_size(scenario: Scenario) -> int:
     if k > INDEX_LIMIT:
         raise SizeLimitError(f"result space (d*s)^l = {k} exceeds the index limit 2^63")
     return k
+
+
+def _dense_size(scenario: Scenario) -> int:
+    """Result-space size K, refused when a dense (K,) table would exceed ENUMERATION_CAP."""
+    k = result_space_size(scenario)
+    if k > ENUMERATION_CAP:
+        raise SizeLimitError(f"dense table over {k} results exceeds the cap {ENUMERATION_CAP}")
+    return k
+
+
+def _encoded(trials, k: int) -> np.ndarray:
+    """Trials as int64 result indices: a 1-d integer array, every entry in 0..k-1."""
+    enc = np.asarray(trials)
+    if enc.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if enc.ndim != 1 or enc.dtype.kind not in "iu":
+        raise ValueError("trials must be a 1-d array of integer result indices")
+    lo, hi = int(enc.min()), int(enc.max())
+    if lo < 0 or hi >= k:
+        raise ValueError(f"encoded result index {lo if lo < 0 else hi} outside 0..{k - 1}")
+    return enc.astype(np.int64, copy=False)
 
 
 def encode_result(scenario: Scenario, x: TrialResult) -> int:
@@ -153,9 +174,7 @@ class Distribution:
     empirical: bool = False
 
     def __post_init__(self):
-        k = result_space_size(self.scenario)
-        if k > ENUMERATION_CAP:
-            raise SizeLimitError(f"dense distribution over {k} results exceeds the cap {ENUMERATION_CAP}")
+        k = _dense_size(self.scenario)
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (k,):
             raise ValueError(f"probs must have length {k}")
@@ -165,7 +184,7 @@ class Distribution:
             raise ValueError("probabilities must sum to 1 within 1e-10")
         if not self.empirical:
             marginal = p.reshape(self.scenario.n_joint_settings, -1).sum(axis=1)
-            if not np.allclose(marginal, self.scenario.setting_distribution, atol=1e-10):
+            if not np.allclose(marginal, self.scenario.setting_distribution, rtol=0, atol=1e-10):
                 raise ValueError("outcome marginals do not reproduce the setting distribution")
         object.__setattr__(self, "probs", _frozen(p))
 
@@ -185,13 +204,11 @@ def uniform_outcome_distribution(scenario: Scenario) -> Distribution:
 
 def empirical_distribution(scenario: Scenario, codes: np.ndarray) -> Distribution:
     """Empirical frequency table of a non-empty array of encoded results."""
-    if len(codes) == 0:
+    k = _dense_size(scenario)
+    enc = _encoded(codes, k)
+    if enc.size == 0:
         raise ValueError("empirical distribution of an empty trial sequence is undefined")
-    k = result_space_size(scenario)
-    if k > ENUMERATION_CAP:
-        raise SizeLimitError(f"dense frequency table over {k} results exceeds the cap {ENUMERATION_CAP}")
-    counts = np.bincount(codes, minlength=k)
-    return Distribution(scenario, counts / len(codes), empirical=True)
+    return Distribution(scenario, np.bincount(enc, minlength=k) / enc.size, empirical=True)
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +241,13 @@ def scenario_from_json(obj: dict) -> Scenario:
 
 
 def _check_same_scenario(found: Scenario, expected: Scenario, where: str) -> None:
-    same = (
-        found.parties == expected.parties
-        and found.settings_per_party == expected.settings_per_party
-        and found.outcomes_per_setting == expected.outcomes_per_setting
-        and np.allclose(found.setting_distribution, expected.setting_distribution, atol=1e-12)
-    )
-    if not same:
-        raise ScenarioMismatchError(f"{where}: scenario in file does not match the one supplied")
+    """Refuse two scenarios unless l, s, d are equal and the setting distributions agree within 1e-12."""
+    lsd = [(sc.parties, sc.settings_per_party, sc.outcomes_per_setting) for sc in (found, expected)]
+    if lsd[0] != lsd[1]:
+        raise ScenarioMismatchError(f"{where}: scenario (l, s, d) = {lsd[0]} does not match {lsd[1]}")
+    a, b = found.setting_distribution, expected.setting_distribution
+    if a is not b and not np.allclose(a, b, rtol=0, atol=1e-12):
+        raise ScenarioMismatchError(f"{where}: setting distributions of scenario {lsd[0]} differ by more than 1e-12")
 
 
 # Distinct line texts remembered by read_trials; keeps its memory bounded when every line differs.
@@ -279,6 +295,7 @@ def read_trials(path: str | Path, scenario: Scenario) -> np.ndarray:
 
 def write_trials(path: str | Path, scenario: Scenario, codes: np.ndarray, header: bool = True) -> None:
     """Inverse of :func:`read_trials`: one record per encoded result, after the optional scenario header line."""
+    codes = _encoded(codes, result_space_size(scenario))
     with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write(json.dumps({"scenario": scenario_to_json(scenario)}, separators=(",", ":")) + "\n")

@@ -98,6 +98,13 @@ def test_simulate_refuses_fewer_than_one_seed(tmp_path, capsys, seeds):
     assert not any(tmp_path.iterdir())
 
 
+def test_simulate_refuses_per_block_with_several_seeds(tmp_path, capsys):
+    argv = ["simulate", "--config", "chsh:0.785398", "--trials", "300", "--seeds", "2", "--per-block", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "--per-block" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_gain_sweep_row_count(capsys):
     rc = main(["gain", "--sweep", "cglmp", "--d", "2..7"])
     assert rc == 0

@@ -63,12 +63,21 @@ def test_strategy_distribution_validation(chsh_scenario):
         strategy_distribution(chsh_scenario, np.full((2, 2), 2))
 
 
-def test_strategies_match_oracle(chsh_scenario):
-    table = enumerate_strategy_distributions(2, 2, 2)
-    strategies = enumerate_strategies(chsh_scenario)
-    for h in range(16):
-        dist = strategy_distribution(chsh_scenario, strategies[h])
-        assert np.allclose(dist.probs, table[h], atol=1e-14)
+@pytest.mark.parametrize(
+    "l,s,d,setting_probs",
+    [(2, 2, 2, None), (2, 2, 3, None), (3, 2, 2, None), (2, 3, 2, None), (2, 2, 2, [0.4, 0.1, 0.3, 0.2])],
+    ids=["2-2-2", "2-2-3", "3-2-2", "2-3-2", "2-2-2-nonuniform"],
+)
+def test_strategies_match_oracle(l, s, d, setting_probs):
+    # both strategy maps, exactly against direct enumeration
+    scenario = Scenario(l, s, d, setting_probs)
+    table = enumerate_strategy_distributions(l, s, d, setting_probs)
+    indices, weights = strategy_result_indices(scenario)
+    for h, strategy in enumerate(enumerate_strategies(scenario)):
+        assert np.array_equal(strategy_distribution(scenario, strategy).probs, table[h])
+        probs = np.zeros(table.shape[1])
+        probs[indices[h]] = weights
+        assert np.array_equal(probs, table[h])
 
 
 def test_strategy_result_indices_consistency(cglmp3_scenario):

@@ -92,6 +92,9 @@ def test_maximize_point_mass_goes_all_in(chsh_scenario):
 def test_maximize_requires_trivial_column():
     with pytest.raises(ValueError):
         maximize_log_gain(np.array([[0.5, 1.0]]), np.array([1.0]))
+    # the 1e-12 limit is absolute: 5e-6 off is not the trivial column
+    with pytest.raises(ValueError):
+        maximize_log_gain(np.array([[1.0 + 5e-6, 1.0]]), np.array([1.0]))
 
 
 def test_maximize_monotone_in_iterations(chsh_q):
@@ -154,6 +157,9 @@ def test_kl_divergence_cases(chsh_scenario):
     assert kl_divergence(q, p) == math.inf
     with pytest.raises(ScenarioMismatchError):
         kl_divergence(q, uniform_outcome_distribution(Scenario(2, 2, 3)))
+    # equal result-space sizes (36) do not make two scenarios one
+    with pytest.raises(ScenarioMismatchError):
+        kl_divergence(uniform_outcome_distribution(Scenario(2, 3, 2)), uniform_outcome_distribution(Scenario(2, 2, 3)))
 
 
 def test_kl_project_lr_achievable(chsh_scenario):

@@ -6,6 +6,8 @@ import pytest
 from bellcert import (
     FullPbrAnalysis,
     OptimizerControls,
+    Scenario,
+    ScenarioMismatchError,
     SimplifiedPbrAnalysis,
     TrialResult,
     azuma_pvalue,
@@ -14,13 +16,17 @@ from bellcert import (
     encode_result,
     encode_trials,
     gain_martingale,
+    gain_spbr,
     martingale_pvalue,
+    no_signaling_functionals,
     pbr_pvalue,
     run_full_pbr,
     run_martingale,
     run_simplified_pbr,
     sample_encoded,
+    standardize,
     strategy_distribution,
+    trivial_standardized,
     uniform_outcome_distribution,
 )
 from bellcert.protocols import get_protocol
@@ -139,6 +145,19 @@ def test_spbr_requires_trivial_first(chsh_scenario):
         SimplifiedPbrAnalysis(functions[1:])
     with pytest.raises(ValueError):
         SimplifiedPbrAnalysis(functions, block_size=0)
+
+
+@pytest.mark.parametrize(
+    "trivial_scenario,function_scenario",
+    [(Scenario(2, 2, 3), Scenario(2, 3, 2)), (Scenario(2, 2, 2), Scenario(2, 2, 2, [0.4, 0.1, 0.3, 0.2]))],
+    ids=["equal-K", "setting-distribution"],
+)
+def test_functions_must_share_one_scenario(trivial_scenario, function_scenario):
+    functions = [trivial_standardized(trivial_scenario), standardize(no_signaling_functionals(function_scenario)[0])]
+    with pytest.raises(ScenarioMismatchError):
+        SimplifiedPbrAnalysis(functions)
+    with pytest.raises(ScenarioMismatchError):
+        gain_spbr(uniform_outcome_distribution(trivial_scenario), functions)
 
 
 def test_spbr_prediction_property(chsh_scenario, chsh_q):

@@ -37,6 +37,11 @@ def test_bank_validation():
         MeasurementBank((good, bad), (good, good))
     with pytest.raises(ValueError):
         MeasurementBank((good,), (good, good))
+    # a basis column of norm 1 + 4e-6 is outside the absolute 1e-10 limit
+    stretched = good.copy()
+    stretched[:, 0] *= 1.0 + 4e-6
+    with pytest.raises(ValueError):
+        MeasurementBank((good, stretched), (good, good))
 
 
 def test_born_product_state_reaches_lr_bound():

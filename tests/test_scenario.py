@@ -10,6 +10,7 @@ from bellcert import (
     SizeLimitError,
     TrialFormatError,
     TrialResult,
+    chsh_functional,
     decode_result,
     empirical_distribution,
     encode_result,
@@ -47,6 +48,12 @@ def test_scenario_validation():
     sc = Scenario(2, 2, 2, np.array([0.4, 0.1, 0.3, 0.2]))
     assert not sc.is_uniform()
     assert sc.setting_distribution[1] == 0.1
+    # 2e-6 from uniform is beyond the absolute 1e-12: CHSH's bound 2 would not hold (its LR maximum is 2.000016)
+    near = Scenario(2, 2, 2, np.array([0.250002, 0.249998, 0.25, 0.25]))
+    assert not near.is_uniform()
+    with pytest.raises(ValueError):
+        chsh_functional(near)
+    assert scenario_to_json(near)["setting_distribution"] == [0.250002, 0.249998, 0.25, 0.25]
 
 
 def test_encode_examples(chsh_scenario):
@@ -106,6 +113,15 @@ def test_empirical_empty_rejected(chsh_scenario):
         empirical_distribution(chsh_scenario, [])
 
 
+@pytest.mark.parametrize("code", [16, -1])
+def test_out_of_range_code_is_named(tmp_path, chsh_scenario, code):
+    with pytest.raises(ValueError, match=f"encoded result index {code} outside 0..15"):
+        empirical_distribution(chsh_scenario, [0, code])
+    with pytest.raises(ValueError, match=f"encoded result index {code} outside 0..15"):
+        write_trials(tmp_path / "t.jsonl", chsh_scenario, [0, code])
+    assert not (tmp_path / "t.jsonl").exists()
+
+
 def test_empirical_concentrates_on_source(chsh_q):
     freq = empirical_distribution(chsh_q.scenario, sample_encoded(chsh_q, 10_000, seed=42))
     assert np.max(np.abs(freq.probs - chsh_q.probs)) < 0.02
@@ -133,6 +149,12 @@ def test_distribution_invariants(chsh_scenario):
     with pytest.raises(ValueError):
         Distribution(chsh_scenario, point)
     assert Distribution(chsh_scenario, point, empirical=True).probs[0] == 1.0
+    # setting marginals 0.25 +/- 2e-6 miss the absolute 1e-10 limit
+    skewed = np.full(16, 0.0625)
+    skewed[:4] += 0.5e-6
+    skewed[4:8] -= 0.5e-6
+    with pytest.raises(ValueError):
+        Distribution(chsh_scenario, skewed)
 
 
 def test_uniform_outcome_distribution(chsh_scenario):
@@ -188,9 +210,10 @@ def test_trials_missing_keys(tmp_path, chsh_scenario):
 
 def test_trials_header_mismatch(tmp_path, chsh_scenario):
     path = tmp_path / "hdr.jsonl"
-    path.write_text('{"scenario":{"l":2,"s":2,"d":3}}\n')
-    with pytest.raises(ScenarioMismatchError):
-        read_trials(path, chsh_scenario)
+    for header in ('{"l":2,"s":2,"d":3}', '{"l":2,"s":2,"d":2,"setting_distribution":[0.250002,0.249998,0.25,0.25]}'):
+        path.write_text(f'{{"scenario":{header}}}\n')
+        with pytest.raises(ScenarioMismatchError):
+            read_trials(path, chsh_scenario)
 
 
 def test_scenario_json_roundtrip():
