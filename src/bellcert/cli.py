@@ -12,17 +12,11 @@ import sys
 from pathlib import Path
 
 from . import gainrates, quantum, sim
-from .errors import BellcertError, ScenarioMismatchError, TrialFormatError, UnknownFunctionalError
-from .functionals import (
-    catalog_names,
-    load_functional_file,
-    resolve_catalog_name,
-    standardize,
-    trivial_standardized,
-)
+from .errors import BellcertError, ScenarioMismatchError, TrialFormatError
+from .functionals import build_function_set, catalog_names
 from .optim import DEFAULT_CONTROLS, OptimizerControls
-from .protocols import get_protocol
-from .scenario import Scenario, _check_same_scenario, read_distribution, read_trials, write_distribution
+from .protocols import DEFAULT_BLOCK, DEFAULT_FLOOR, select_protocols
+from .scenario import Scenario, read_distribution, read_trials, write_distribution
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -42,6 +36,8 @@ def _parse_values(text: str) -> list[float]:
     # "2..7" (integer range) or a comma list
     if ".." in text:
         lo, hi = text.split("..", 1)
+        if int(hi) < int(lo):
+            raise ValueError(f"empty range {text!r}")
         return [float(v) for v in range(int(lo), int(hi) + 1)]
     return [float(v) for v in text.split(",")]
 
@@ -50,19 +46,15 @@ def _controls(args) -> OptimizerControls:
     return OptimizerControls(max_iterations=args.max_iter, rel_tolerance=args.tol)
 
 
-def _named_distribution(name: str):
-    kind, _, arg = name.partition(":")
-    if kind == "chsh":
-        state, bank = quantum.chsh_config(float(arg))
-    elif kind == "cglmp":
-        state, bank = quantum.cglmp_config(int(arg))
-    else:
-        raise UnknownFunctionalError(f"unknown quantum config {name!r} (expected chsh:<theta> or cglmp:<d>)")
-    return quantum.born_distribution(state, bank)
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(n.strip() for n in text.split(",") if n)
 
 
 def _source_distribution(args):
-    return _named_distribution(args.config) if args.config is not None else read_distribution(args.dist)
+    if args.config is None:
+        return read_distribution(args.dist)
+    family, _, value = args.config.partition(":")
+    return quantum.named_distribution(family, value)
 
 
 def _print_flags(analyses: dict) -> None:
@@ -71,27 +63,13 @@ def _print_flags(analyses: dict) -> None:
             print(f"warning: {name}: {flag}", file=sys.stderr)
 
 
-def _resolve_names(names, scenario):
-    """Catalog names plus ``file:<path>`` entries pointing at value-table files."""
-    resolved = []
-    for name in names:
-        if name.startswith("file:"):
-            f = load_functional_file(name[5:])
-            _check_same_scenario(f.scenario, scenario, name[5:])
-            resolved.append(f)
-        else:
-            resolved.extend(resolve_catalog_name(name, scenario))
-    return resolved
-
-
 def cmd_analyze(args) -> int:
     scenario = _parse_scenario(args.scenario)
     encoded = read_trials(args.trials_file, scenario)
     if encoded.size == 0:
         raise ScenarioMismatchError(f"{args.trials_file}: no trial records")
-    names = [n for n in args.functions.split(",") if n]
-    functions = [trivial_standardized(scenario)] + [standardize(f) for f in _resolve_names(names, scenario)]
-    protocols = {name: get_protocol(name) for name in (p.strip() for p in args.protocol.split(","))}
+    functions = build_function_set(_names(args.functions), scenario)
+    protocols = select_protocols(_names(args.protocol), args.block)
     controls = _controls(args)
     analyses = {
         name: protocol.run(encoded, functions, args.block, controls, args.floor) for name, protocol in protocols.items()
@@ -116,13 +94,12 @@ def cmd_simulate(args) -> int:
     if args.per_block and args.seeds > 1:
         raise ValueError("--per-block needs --seeds 1: a seed sweep writes only seed_summary.csv")
     source = _source_distribution(args)
-    names = tuple(n for n in args.functions.split(",") if n) if args.functions else ()
     plan = sim.SimulationPlan(
         source=source,
         n_trials=args.trials,
         seed=args.seed,
-        protocols=tuple(p.strip() for p in args.protocol.split(",")),
-        function_names=names,
+        protocols=_names(args.protocol),
+        function_names=_names(args.functions or ""),
         block_size=args.block,
         controls=_controls(args),
         floor=args.floor,
@@ -169,7 +146,7 @@ def cmd_gain(args) -> int:
 
 
 def cmd_quantum(args) -> int:
-    dist = _named_distribution(args.config)
+    dist = _source_distribution(args)
     if args.out:
         write_distribution(args.out, dist)
         print(f"wrote {args.out}")
@@ -226,8 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tol", type=float, default=d.rel_tolerance, help="optimizer KKT stationarity gap")
             p.add_argument("--max-iter", type=int, default=d.max_iterations, help="optimizer iteration budget")
         if protocol:
-            p.add_argument("--floor", type=float, default=1e-9, help="frequency floor for the full protocol")
-            p.add_argument("--block", type=int, default=154, help="trials per prediction update")
+            p.add_argument("--floor", type=float, default=DEFAULT_FLOOR, help="frequency floor for the full protocol")
+            p.add_argument("--block", type=int, default=DEFAULT_BLOCK, help="trials per prediction update")
             p.add_argument("--per-block", action="store_true", help="report one row per block instead of per trial")
         p.add_argument("--out", default=None, help="output file or directory")
         p.add_argument("--config-file", default=None, help="JSON file of defaults for these flags")

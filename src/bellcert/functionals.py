@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import ScenarioMismatchError, StandardizationError, TrialFormatError, UnknownFunctionalError
 from .lrpolytope import STRATEGY_CAP, strategy_count, vertex_expectations
-from .scenario import Distribution, Scenario, _dense_size, _frozen, result_space_size, scenario_from_json
-from .scenario import _json_numbers
+from .scenario import Distribution, Scenario, _check_same_scenario, _dense_size, _frozen, result_space_size
+from .scenario import _json_numbers, scenario_from_json
 
 
 def _frozen_table(scenario: Scenario, table: np.ndarray) -> np.ndarray:
@@ -87,26 +87,12 @@ def expectation(f: Functional | StandardizedFunctional, dist: Distribution) -> f
     return dist.expectation(f.table)
 
 
-def _table_functional(name: str, scenario: Scenario, table: np.ndarray, bound: float) -> Functional:
-    table = np.asarray(table, dtype=float)
-    return Functional(
-        name=name,
-        scenario=scenario,
-        bound_B=float(bound),
-        inf_b=float(table.min()),
-        sup_a=float(table.max()),
-        table=table,
-    )
+def _two_by_two(scenario: Scenario) -> bool:
+    return scenario.parties == 2 and scenario.settings_per_party == 2 and scenario.is_uniform()
 
 
 def _require_bipartite_two_settings(scenario: Scenario, what: str, d: int | None = None) -> None:
-    ok = (
-        scenario.parties == 2
-        and scenario.settings_per_party == 2
-        and (d is None or scenario.outcomes_per_setting == d)
-        and scenario.is_uniform()
-    )
-    if not ok:
+    if not (_two_by_two(scenario) and (d is None or scenario.outcomes_per_setting == d)):
         want = f"(2, 2, {d if d is not None else 'd'})"
         raise ValueError(f"{what} requires a {want} scenario with uniform settings")
 
@@ -125,7 +111,7 @@ def chsh_functional(scenario: Scenario) -> Functional:
             for a in range(2):
                 for b in range(2):
                     table[u, v, a, b] = 4.0 * sign * (1 - 2 * a) * (1 - 2 * b)
-    return _table_functional("chsh", scenario, table.reshape(-1), 2.0)
+    return functional_from_table(scenario, table.reshape(-1), 2.0, "chsh")
 
 
 def _cglmp_table(d: int) -> np.ndarray:
@@ -165,7 +151,7 @@ def cglmp_functional(scenario: Scenario) -> Functional:
     if d < 2:
         raise ValueError("cglmp_functional requires d >= 2")
     _require_bipartite_two_settings(scenario, "cglmp_functional")
-    return _table_functional(f"cglmp:{d}", scenario, _cglmp_table(d).reshape(-1), 2.0)
+    return functional_from_table(scenario, _cglmp_table(d).reshape(-1), 2.0, f"cglmp:{d}")
 
 
 def no_signaling_functionals(scenario: Scenario) -> list[Functional]:
@@ -198,13 +184,21 @@ def no_signaling_functionals(scenario: Scenario) -> list[Functional]:
                             base[w2, u, :, v] -= 1.0 / pi[w2, u]
                         for sign, tag in ((1.0, "+"), (-1.0, "-")):
                             name = f"ns:{party_label[party]}{u + 1}:o{v}:{w1 + 1}v{w2 + 1}:{tag}"
-                            out.append(_table_functional(name, scenario, (sign * base).reshape(-1), 0.0))
+                            out.append(functional_from_table(scenario, (sign * base).reshape(-1), 0.0, name))
     return out
 
 
 def functional_from_table(scenario: Scenario, values: np.ndarray, bound: float, name: str = "custom") -> Functional:
     """Wrap a K-length value table (ordered by the result encoding) with a declared bound."""
-    return _table_functional(name, scenario, values, bound)
+    table = np.asarray(values, dtype=float)
+    return Functional(
+        name=name,
+        scenario=scenario,
+        bound_B=float(bound),
+        inf_b=float(table.min()),
+        sup_a=float(table.max()),
+        table=table,
+    )
 
 
 def load_functional_file(path: str | Path) -> Functional:
@@ -239,19 +233,30 @@ def load_functional_file(path: str | Path) -> Functional:
 def catalog_names(scenario: Scenario) -> list[str]:
     """Catalog identifiers applicable to a scenario."""
     names = ["trivial"]
-    two_by_two = scenario.parties == 2 and scenario.settings_per_party == 2 and scenario.is_uniform()
-    if two_by_two and scenario.outcomes_per_setting == 2:
+    if _two_by_two(scenario) and scenario.outcomes_per_setting == 2:
         names.append("chsh")
-    if two_by_two and scenario.outcomes_per_setting >= 2:
+    if _two_by_two(scenario) and scenario.outcomes_per_setting >= 2:
         names.append(f"cglmp:{scenario.outcomes_per_setting}")
     if scenario.parties == 2 and np.all(scenario.setting_distribution > 0.0):
         names.append("nosignaling")
     return names
 
 
+def default_function_names(scenario: Scenario) -> tuple[str, ...]:
+    """The catalog Bell functional of a (2, 2, d) scenario with uniform settings: ``chsh`` or ``cglmp:<d>``."""
+    if not _two_by_two(scenario):
+        raise ValueError("no default function set for this scenario; supply function_names")
+    d = scenario.outcomes_per_setting
+    return ("chsh",) if d == 2 else (f"cglmp:{d}",)
+
+
 def resolve_catalog_name(name: str, scenario: Scenario) -> list[Functional]:
-    """Resolve one catalog identifier to its functional(s); 'trivial' resolves to none."""
+    """Resolve a catalog identifier or a ``file:<path>`` functional file to its functional(s); 'trivial' resolves to none."""
     name = name.strip()
+    if name.startswith("file:"):
+        f = load_functional_file(name[5:])
+        _check_same_scenario(f.scenario, scenario, name[5:])
+        return [f]
     if name == "trivial":
         return []
     if name == "chsh":

@@ -14,13 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import quantum
-from .functionals import (
-    StandardizedFunctional,
-    build_function_set,
-    chsh_functional,
-    cglmp_functional,
-    expectation,
-)
+from .functionals import StandardizedFunctional, build_function_set, default_function_names, expectation
 from .optim import DEFAULT_CONTROLS, GainOptimum, OptimizerControls, kl_project_lr, maximize_log_gain
 from .scenario import Distribution, _check_same_scenario
 
@@ -78,32 +72,17 @@ class GainReport:
     optimal: float | None = None
 
 
-def _cglmp_report(d: int, include_optimal: bool, controls: OptimizerControls) -> GainReport:
-    state, bank = quantum.cglmp_config(d)
-    q = quantum.born_distribution(state, bank)
-    f = cglmp_functional(q.scenario)
+def _report(family: str, value, include_ns: bool, include_optimal: bool, controls: OptimizerControls) -> GainReport:
+    q = quantum.named_distribution(family, value)
+    names = default_function_names(q.scenario) + (("nosignaling",) if include_ns else ())
+    functions = build_function_set(names, q.scenario)
+    f = functions[1].source
     i_q = expectation(f, q)
     g_mart = gain_martingale(i_q, f.sup_a, f.inf_b, f.bound_B)
-    functions = build_function_set([f.name], q.scenario)
-    g_spbr = gain_spbr(q, functions, controls).gain
+    g_spbr = gain_spbr(q, functions[:2], controls).gain
+    g_ext = gain_spbr(q, functions, controls).gain if include_ns else None
     s_q = optimal_gain(q, controls) if include_optimal else None
-    return GainReport(float(d), i_q, g_mart, g_spbr, None, s_q)
-
-
-def _chsh_report(theta: float, include_ns: bool, include_optimal: bool, controls: OptimizerControls) -> GainReport:
-    state, bank = quantum.chsh_config(theta)
-    q = quantum.born_distribution(state, bank)
-    f = chsh_functional(q.scenario)
-    i_q = expectation(f, q)
-    g_mart = gain_martingale(i_q, f.sup_a, f.inf_b, f.bound_B)
-    base = build_function_set(["chsh"], q.scenario)
-    g_spbr = gain_spbr(q, base, controls).gain
-    g_ext = None
-    if include_ns:
-        extended = build_function_set(["chsh", "nosignaling"], q.scenario)
-        g_ext = gain_spbr(q, extended, controls).gain
-    s_q = optimal_gain(q, controls) if include_optimal else None
-    return GainReport(float(theta), i_q, g_mart, g_spbr, g_ext, s_q)
+    return GainReport(float(value), i_q, g_mart, g_spbr, g_ext, s_q)
 
 
 def gain_curve(
@@ -119,13 +98,5 @@ def gain_curve(
     count d, ``"chsh"`` sweeps the state angle theta (optionally adding the
     no-signaling witnesses as a second weighted-protocol column).
     """
-    reports = []
-    if sweep == "cglmp":
-        for d in values:
-            reports.append(_cglmp_report(int(d), include_optimal, controls))
-    elif sweep == "chsh":
-        for theta in values:
-            reports.append(_chsh_report(float(theta), include_nosignaling, include_optimal, controls))
-    else:
-        raise ValueError(f"unknown configuration family {sweep!r} (expected 'cglmp' or 'chsh')")
-    return reports
+    include_ns = include_nosignaling and sweep == "chsh"
+    return [_report(sweep, value, include_ns, include_optimal, controls) for value in values]

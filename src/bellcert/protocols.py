@@ -30,6 +30,10 @@ from .scenario import Distribution, Scenario, _check_same_scenario, _dense_size,
 # Smallest positive double; reported p-values are clamped here instead of 0.
 P_FLOOR = 5e-324
 
+# Defaults of every protocol run: trials per block, and fpbr's frequency floor.
+DEFAULT_BLOCK = 154
+DEFAULT_FLOOR = 1e-9
+
 
 def pbr_pvalue(log2_t):
     """min(2^(-log2_T), 1) elementwise, clamped away from exact zero.
@@ -202,7 +206,7 @@ class SimplifiedPbrAnalysis(BlockAnalysis):
     def __init__(
         self,
         functions: Sequence[StandardizedFunctional],
-        block_size: int = 154,
+        block_size: int = DEFAULT_BLOCK,
         controls: OptimizerControls = DEFAULT_CONTROLS,
     ):
         if not functions:
@@ -253,9 +257,9 @@ class FullPbrAnalysis(BlockAnalysis):
     def __init__(
         self,
         scenario: Scenario,
-        block_size: int = 154,
+        block_size: int = DEFAULT_BLOCK,
         controls: OptimizerControls = DEFAULT_CONTROLS,
-        floor: float = 1e-9,
+        floor: float = DEFAULT_FLOOR,
     ):
         if not 0.0 <= floor < 1.0:
             raise ValueError("floor must lie in [0, 1)")
@@ -300,7 +304,7 @@ def run_martingale(trials: np.ndarray, functional: Functional) -> MartingaleAnal
 def run_simplified_pbr(
     trials: np.ndarray,
     functions: Sequence[StandardizedFunctional],
-    block_size: int = 154,
+    block_size: int = DEFAULT_BLOCK,
     controls: OptimizerControls = DEFAULT_CONTROLS,
 ) -> SimplifiedPbrAnalysis:
     """Run the weighted-function protocol over an array of encoded trials."""
@@ -312,9 +316,9 @@ def run_simplified_pbr(
 def run_full_pbr(
     trials: np.ndarray,
     scenario: Scenario,
-    block_size: int = 154,
+    block_size: int = DEFAULT_BLOCK,
     controls: OptimizerControls = DEFAULT_CONTROLS,
-    floor: float = 1e-9,
+    floor: float = DEFAULT_FLOOR,
 ) -> FullPbrAnalysis:
     """Run the polytope-projection protocol over an array of encoded trials."""
     analysis = FullPbrAnalysis(scenario, block_size, controls, floor)
@@ -379,3 +383,12 @@ def get_protocol(name: str) -> Protocol:
         return PROTOCOLS[name]
     except KeyError:
         raise ValueError(f"unknown protocol {name!r} (expected one of {tuple(PROTOCOLS)})") from None
+
+
+def select_protocols(names: Sequence[str], block_size: int) -> dict[str, Protocol]:
+    """Registry entries for one run of distinct named protocols; ValueError also for a block size below 1."""
+    if block_size < 1:
+        raise ValueError("block_size must be >= 1")
+    if len(set(names)) < len(names):
+        raise ValueError(f"protocol names must be distinct, got {','.join(names)}")
+    return {name: get_protocol(name) for name in names}

@@ -148,3 +148,17 @@ def cglmp_config(d: int) -> tuple[PureState, MeasurementBank]:
         c = _max_violation_amplitudes(d, bank)
     state = PureState(np.diag(c).astype(complex))
     return state, bank
+
+
+def named_distribution(family: str, value) -> Distribution:
+    """Trial distribution of the configuration ``chsh:<theta>`` or ``cglmp:<d>``; ``value`` may be text."""
+    if family == "chsh":
+        state, bank = chsh_config(float(value))
+    elif family == "cglmp":
+        d = float(value)
+        if not d.is_integer():
+            raise ValueError(f"cglmp needs an integer outcome count, got {value!r}")
+        state, bank = cglmp_config(int(d))
+    else:
+        raise ValueError(f"unknown configuration family {family!r} (expected chsh:<theta> or cglmp:<d>)")
+    return born_distribution(state, bank)

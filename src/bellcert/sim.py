@@ -13,15 +13,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .functionals import build_function_set
+from .functionals import build_function_set, default_function_names
 from .optim import DEFAULT_CONTROLS, OptimizerControls
-from .protocols import PROTOCOLS, get_protocol
+from .protocols import DEFAULT_BLOCK, DEFAULT_FLOOR, PROTOCOLS, select_protocols
 from .scenario import Distribution
 
 # Algorithm identifier of the random source, recorded in every report header.
 GENERATOR_ID = "numpy-pcg64"
-
-PROTOCOL_NAMES = tuple(PROTOCOLS)
 
 
 def sample_encoded(q: Distribution, n: int, seed: int) -> np.ndarray:
@@ -42,19 +40,16 @@ class SimulationPlan:
     source: Distribution
     n_trials: int
     seed: int
-    protocols: tuple[str, ...] = PROTOCOL_NAMES
+    protocols: tuple[str, ...] = tuple(PROTOCOLS)
     function_names: tuple[str, ...] = ()
-    block_size: int = 154
+    block_size: int = DEFAULT_BLOCK
     controls: OptimizerControls = DEFAULT_CONTROLS
-    floor: float = 1e-9
+    floor: float = DEFAULT_FLOOR
 
     def __post_init__(self):
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
-        for p in self.protocols:
-            get_protocol(p)
+        select_protocols(self.protocols, self.block_size)
 
 
 @dataclass
@@ -74,15 +69,6 @@ class ExperimentResult:
         return a.n * self.rates[protocol] - self.neg_log2_pvalue(protocol)
 
 
-def _default_function_names(q: Distribution) -> tuple[str, ...]:
-    sc = q.scenario
-    if sc.parties == 2 and sc.settings_per_party == 2 and sc.is_uniform():
-        if sc.outcomes_per_setting == 2:
-            return ("chsh",)
-        return (f"cglmp:{sc.outcomes_per_setting}",)
-    raise ValueError("no default function set for this scenario; supply function_names")
-
-
 def run_experiment(plan: SimulationPlan, out_dir: str | Path | None = None, per_block: bool = False) -> ExperimentResult:
     """Sample one sequence and feed it to every requested protocol.
 
@@ -90,7 +76,7 @@ def run_experiment(plan: SimulationPlan, out_dir: str | Path | None = None, per_
     ``out_dir`` when given.  Identical plans produce byte-identical reports.
     """
     q = plan.source
-    names = plan.function_names or _default_function_names(q)
+    names = plan.function_names or default_function_names(q.scenario)
     functions = build_function_set(names, q.scenario)
     encoded = sample_encoded(q, plan.n_trials, plan.seed)
     result = ExperimentResult(plan=plan)
@@ -188,12 +174,12 @@ def validity_exceedance(
     For data from any LR model every protocol must keep this at or below
     alpha (up to Monte Carlo noise).
     """
-    functions = build_function_set(_default_function_names(q_lr), q_lr.scenario)
+    functions = build_function_set(default_function_names(q_lr.scenario), q_lr.scenario)
     counts = {p: {float(a): 0 for a in alphas} for p in PROTOCOLS}
     for i in range(n_seeds):
         encoded = sample_encoded(q_lr, n_trials, base_seed + i)
         for protocol, entry in PROTOCOLS.items():
-            p_final = entry.run(encoded, functions, block_size, VALIDITY_CONTROLS, 1e-9).pvalue
+            p_final = entry.run(encoded, functions, block_size, VALIDITY_CONTROLS, DEFAULT_FLOOR).pvalue
             for a in counts[protocol]:
                 if p_final <= a:
                     counts[protocol][a] += 1

@@ -327,3 +327,61 @@ def test_config_file_entry_for_a_missing_flag_is_a_usage_error(tmp_path, capsys)
     with pytest.raises(SystemExit) as exc:
         main(["quantum", "--config", "cglmp:3", "--config-file", str(cfg)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("block", ["0", "-1"])
+def test_analyze_refuses_a_block_below_one_for_mart(tmp_path, capsys, trial_file, block):
+    # mart scores the whole run as one block, but its per-block report reads --block
+    path, _ = trial_file
+    argv = ["analyze", str(path), "--scenario", "2,2,2", "--protocol", "mart", "--block", block]
+    assert main(argv + ["--per-block", "--out", str(tmp_path / "out")]) == 2
+    assert "block_size must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert main(argv) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--config", "chsh:0.6", "--trials", "50", "--protocol", "mart,mart"],
+        ["analyze", "TRIALS", "--scenario", "2,2,2", "--protocol", "mart,spbr, mart"],
+    ],
+)
+def test_duplicate_protocol_names_are_refused(capsys, trial_file, argv):
+    path, _ = trial_file
+    assert main([str(path) if a == "TRIALS" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert "protocol names must be distinct" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("d", ["7..2", "2.5", "3,2.5", "inf"])
+def test_gain_refuses_an_empty_range_or_a_non_integer_outcome_count(capsys, d):
+    assert main(["gain", "--sweep", "cglmp", "--d", d]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "range" in captured.err or "integer outcome count" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["quantum"], ["simulate", "--trials", "10"], ["gain"]])
+def test_unknown_configuration_family_has_one_message(capsys, argv):
+    assert main(argv + ["--config", "foo:1"]) == 2
+    expected = "error: unknown configuration family 'foo' (expected chsh:<theta> or cglmp:<d>)\n"
+    assert capsys.readouterr().err == expected
+
+
+def test_simulate_takes_a_functional_file(tmp_path, capsys):
+    from bellcert import chsh_functional, cglmp_functional
+
+    chsh_path, cglmp_path = tmp_path / "chsh.json", tmp_path / "cglmp3.json"
+    values = list(chsh_functional(Scenario(2, 2, 2)).table)
+    chsh_path.write_text(json.dumps({"scenario": {"l": 2, "s": 2, "d": 2}, "B": 2.0, "values": values}))
+    values = list(cglmp_functional(Scenario(2, 2, 3)).table)
+    cglmp_path.write_text(json.dumps({"scenario": {"l": 2, "s": 2, "d": 3}, "B": 2.0, "values": values}))
+    argv = ["simulate", "--config", "chsh:0.6", "--trials", "400", "--block", "50", "--protocol", "mart,spbr"]
+    assert main(argv + ["--functions", "chsh"]) == 0
+    by_name = capsys.readouterr().out
+    assert main(argv + ["--functions", f"file:{chsh_path}"]) == 0
+    assert capsys.readouterr().out == by_name
+    assert main(argv + ["--functions", f"file:{cglmp_path}"]) == 3
+    assert "does not match" in capsys.readouterr().err

@@ -1,6 +1,10 @@
-"""README's library quick start runs as written, so it cannot name a removed or renamed function."""
+"""README's quick starts run as written, so they cannot name a removed or renamed function or flag."""
 import re
+import shlex
 from pathlib import Path
+
+from bellcert import Scenario, born_distribution, chsh_config, sample_encoded, write_trials
+from bellcert.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -11,3 +15,18 @@ def test_library_quick_start_runs(capsys):
     exec(compile(block, "README.md", "exec"), {})
     p_value, log2_t = (float(v) for v in capsys.readouterr().out.split())
     assert 0.0 < p_value < 1e-100 and log2_t > 300.0
+
+
+def test_cli_quick_start_runs(tmp_path, monkeypatch, capsys):
+    # every bellcert line of the CLI quick start, continuation lines joined, exits 0
+    section = README.read_text(encoding="utf-8").split("## Quick start (CLI)", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv for argv in commands if argv and argv[0] == "bellcert"]
+    assert len(commands) == 5
+    monkeypatch.chdir(tmp_path)
+    # the recorded data the quick start's analyze command reads
+    q = born_distribution(*chsh_config(0.6))
+    write_trials("data.jsonl", Scenario(2, 2, 2), sample_encoded(q, 2000, seed=3))
+    for argv in commands:
+        assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
