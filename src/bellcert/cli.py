@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import gainrates, quantum, sim
 from .errors import BellcertError, ScenarioMismatchError, TrialFormatError
-from .functionals import build_function_set, catalog_names
+from .functionals import build_function_set, catalog_names, default_function_names
 from .optim import DEFAULT_CONTROLS, OptimizerControls
 from .protocols import DEFAULT_BLOCK, DEFAULT_FLOOR, select_protocols
 from .scenario import Scenario, read_distribution, read_trials, write_distribution
@@ -68,7 +68,7 @@ def cmd_analyze(args) -> int:
     encoded = read_trials(args.trials_file, scenario)
     if encoded.size == 0:
         raise ScenarioMismatchError(f"{args.trials_file}: no trial records")
-    functions = build_function_set(_names(args.functions), scenario)
+    functions = build_function_set(_names(args.functions or "") or default_function_names(scenario), scenario)
     protocols = select_protocols(_names(args.protocol), args.block)
     controls = _controls(args)
     analyses = {
@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="run protocols on a recorded trial file", allow_abbrev=False)
     p.add_argument("trials_file")
     p.add_argument("--scenario", required=True, help="l,s,d")
-    p.add_argument("--functions", default="chsh", help="comma list of catalog names")
+    p.add_argument("--functions", default=None, help="comma list of catalog names (default from scenario)")
     p.add_argument("--protocol", default="mart,spbr", help="comma list from mart,spbr,fpbr")
     common(p, optimizer=True, protocol=True)
     p.set_defaults(func=cmd_analyze)

@@ -18,11 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeLimitError
-from .lrpolytope import _mixture_probs, strategy_count, strategy_result_indices
-from .scenario import Distribution, _check_same_scenario, result_space_size
+from .lrpolytope import _mixture_probs, strategy_result_indices
+from .scenario import Distribution, _check_same_scenario
 
 # Dense (strategies x support) work arrays are capped at this many entries.
 PROJECTION_TABLE_CAP = 2**24
+
+# Fewer rows than this are solved one at a time, faster than in lockstep.
+LOCKSTEP_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -79,22 +82,13 @@ def _check_gain_inputs(r_values: np.ndarray, freq: np.ndarray) -> tuple[np.ndarr
     return r, f
 
 
-def _multiplicative_update(
-    table: np.ndarray, freq: np.ndarray, weights: np.ndarray, objective, controls: OptimizerControls
-) -> tuple[np.ndarray, float, int, bool]:
-    """The loop of both optimizers: maximize ``objective(mix, freq / mix)``, ``mix = table @ weights``.
+def _dots(a: np.ndarray, b: np.ndarray):
+    """``np.dot`` of two vectors, or of each pair of matching C-contiguous rows, rounded as ``np.dot`` rounds."""
+    return np.dot(a, b) if a.ndim == 1 else np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
-    ``table`` is (support points x components), ``freq`` positive with unit
-    sum, and ``weights`` simplex weights that keep ``mix`` positive.  The EM
-    map ``w <- w * factor``, ``factor = table.T @ (freq / mix)``, renormalized,
-    never decreases the objective.  Each SQUAREM step maps ``x0`` to ``x1``
-    and ``x2`` and moves to the SqS3 point ``x0 - 2 alpha r + alpha^2 v``
-    (``r = x1 - x0``, ``v = x2 - 2 x1 + x0``, ``alpha = min(-|r| / |v|, -1)``)
-    if it is positive and no worse than ``x2``, else to ``x2``.  A solve
-    converges when ``max(factor) <= 1 + rel_tolerance``; as ``weights . factor
-    = 1``, the objective is then within ``log2(1 + rel_tolerance)`` bits of its
-    optimum.  Returns ``(weights, objective, objective evaluations, converged)``.
-    """
+
+def _update_row(table: np.ndarray, f: np.ndarray, weights: np.ndarray, objective, controls: OptimizerControls):
+    """One row of :func:`_multiplicative_update`, with less work per evaluation than the lockstep loop."""
     bound = 1.0 + controls.rel_tolerance
     iterations = 0
 
@@ -102,8 +96,8 @@ def _multiplicative_update(
         nonlocal iterations
         iterations += 1
         mix = table @ w
-        ratio = freq / mix
-        return w, objective(mix, ratio), table.T @ ratio
+        ratio = f / mix
+        return w, objective(f, mix, ratio), table.T @ ratio
 
     path = [evaluate(weights)]  # the current SQUAREM step's (weights, objective, factor) at x0, x1, x2
     while path[-1][2].max() > bound and iterations < controls.max_iterations:
@@ -120,7 +114,71 @@ def _multiplicative_update(
             if np.all(x > 0.0) and (trial := evaluate(x / x.sum()))[1] >= x2[1]:
                 path = [trial]
     w, value, factor = path[-1]
-    return w, value, iterations, bool(factor.max() <= bound)
+    return w, value, iterations, factor.max() <= bound
+
+
+def _multiplicative_update(
+    table: np.ndarray, freq: np.ndarray, weights: np.ndarray, objective, controls: OptimizerControls
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The loop of both optimizers: maximize ``objective(f, mix, f / mix)``, ``mix = table @ w``, for each row.
+
+    ``table`` is (support points x components), each row ``f`` of ``freq``
+    positive with unit sum, and each row ``w`` of ``weights`` simplex weights
+    that keep ``mix`` positive.  The EM map ``w <- w * factor``, ``factor =
+    table.T @ (f / mix)``, renormalized, never decreases the objective.  Each
+    SQUAREM step maps ``x0`` to ``x1`` and ``x2`` and moves to the SqS3 point
+    ``x0 - 2 alpha r + alpha^2 v`` (``r = x1 - x0``, ``v = x2 - 2 x1 + x0``,
+    ``alpha = min(-|r| / |v|, -1)``) if it is positive and no worse than
+    ``x2``, else to ``x2``.  A row converges when ``max(factor) <= 1 +
+    rel_tolerance``; as ``w . factor = 1``, its objective is then within
+    ``log2(1 + rel_tolerance)`` bits of its optimum.  From ``LOCKSTEP_ROWS``
+    rows on, rows step in lockstep but stop, count and round exactly as
+    one-row solves.  Returns per-row ``(weights, objective, objective
+    evaluations, converged)``.
+    """
+    if len(weights) < LOCKSTEP_ROWS:
+        solved = [_update_row(table, f, w, objective, controls) for f, w in zip(freq, weights)]
+        return tuple(np.array(a) for a in zip(*solved))
+    bound = 1.0 + controls.rel_tolerance
+    runs = len(weights)
+    out = (np.empty_like(weights), np.empty(runs), np.zeros(runs, dtype=np.int64), np.zeros(runs, dtype=bool))
+    ids, f, count = np.arange(runs), freq, np.zeros(runs, dtype=np.int64)  # the rows still iterating
+
+    def evaluate(w, rows):
+        count[rows] += 1
+        mix = np.matmul(table, w[:, :, None])[:, :, 0]
+        ratio = f[rows] / mix
+        return w, objective(f[rows], mix, ratio), np.matmul(table.T, ratio[:, :, None])[:, :, 0]
+
+    path = [evaluate(weights, slice(None))]  # the current SQUAREM step's (weights, objective, factor) at x0, x1, x2
+    while ids.size:
+        w, value, factor = path[-1]
+        gap = factor.max(axis=1)
+        stop = ~((gap > bound) & (count < controls.max_iterations))
+        if stop.any():
+            for a, b in zip(out, (w, value, count, gap <= bound)):
+                a[ids[stop]] = b[stop]
+            ids, f, count = ids[~stop], f[~stop], count[~stop]
+            path = [tuple(a[~stop] for a in x) for x in path]
+            continue
+        if len(path) < 3:
+            w = w * factor
+            path.append(evaluate(w / w.sum(axis=1, keepdims=True), slice(None)))
+            continue
+        (x0, _, _), (x1, _, _), x2 = path
+        path = [x2]
+        r, v = x1 - x0, x2[0] - 2.0 * x1 + x0
+        rr, vv = _dots(r, r), _dots(v, v)
+        ext = np.flatnonzero((rr > vv) & (vv > 0.0))  # -alpha = sqrt(rr / vv) > 1
+        s = rr[ext] / vv[ext]
+        x = x0[ext] + (2.0 * np.sqrt(s))[:, None] * r[ext] + s[:, None] * v[ext]
+        ext, x = ext[np.all(x > 0.0, axis=1)], x[np.all(x > 0.0, axis=1)]
+        if ext.size:
+            trial = evaluate(x / x.sum(axis=1, keepdims=True), ext)
+            better = trial[1] >= x2[1][ext]
+            for a, b in zip(x2, trial):
+                a[ext[better]] = b[better]
+    return out
 
 
 def log_gain(weights: np.ndarray, r_values: np.ndarray, freq: np.ndarray) -> float:
@@ -155,11 +213,11 @@ def maximize_log_gain(
     if not np.allclose(r[:, 0], 1.0, rtol=0, atol=1e-12):
         raise ValueError("column 0 of r_values must be the trivial (all ones) function")
     active = f > 0.0
-    r, f = r[active], f[active]
     m = r.shape[1]
-    return GainOptimum(
-        *_multiplicative_update(r, f, np.full(m, 1.0 / m), lambda mix, ratio: float(np.dot(f, np.log2(mix))), controls)
+    w, gain, iterations, converged = _multiplicative_update(
+        r[active], f[None, active], np.full((1, m), 1.0 / m), lambda f, mix, ratio: _dots(f, np.log2(mix)), controls
     )
+    return GainOptimum(w[0], float(gain[0]), int(iterations[0]), bool(converged[0]))
 
 
 def kl_divergence(q: Distribution, p: Distribution) -> float:
@@ -184,32 +242,37 @@ def kl_project_lr(q: Distribution, controls: OptimizerControls = DEFAULT_CONTROL
     which also bounds how far the ratio ``q / p`` can sit above LR
     expectation 1 under any strategy.
     """
-    scenario = q.scenario
-    h = strategy_count(scenario)
-    k = result_space_size(scenario)
-    lam = np.full(h, 1.0 / h)
-    indices, setting_w = strategy_result_indices(scenario)
-    support = np.flatnonzero(q.probs)
-    if h * support.size > PROJECTION_TABLE_CAP:
-        raise SizeLimitError(
-            f"projection work table {h} x {support.size} exceeds {PROJECTION_TABLE_CAP} entries"
-        )
-    qs = q.probs[support]
+    indices, setting_w = strategy_result_indices(q.scenario)
+    lam, probs, div, iterations, converged = _project_rows(q.probs[None], indices, setting_w, controls)
+    projection = Distribution(q.scenario, probs[0])
+    return LRProjection(lam[0], projection, float(div[0]), int(iterations[0]), bool(converged[0]))
 
-    # dense (H x support) vertex table, built from the sparse index map
-    col_of = np.full(k, -1, dtype=np.int64)
-    col_of[support] = np.arange(support.size)
-    e_sup = np.zeros((h, support.size))
-    rows, cols = np.nonzero(col_of[indices] >= 0)
-    e_sup[rows, col_of[indices[rows, cols]]] += setting_w[cols]
 
-    if np.any(e_sup.max(axis=0) <= 0.0):
-        # some observed result is impossible under every strategy
-        neg_div, iterations, converged = -math.inf, 0, True
-    else:
-        # maximize minus the divergence, summed as q log2(q / p)
-        lam, neg_div, iterations, converged = _multiplicative_update(
-            e_sup.T, qs, lam, lambda mix, ratio: -float(np.dot(qs, np.log2(ratio))), controls
-        )
+def _project_rows(freq: np.ndarray, indices: np.ndarray, setting_w: np.ndarray, controls: OptimizerControls):
+    """:func:`kl_project_lr` of each probability row of ``freq``, given the map of :func:`strategy_result_indices`.
+
+    Rows with one support share one vertex table and one update loop.
+    Returns per-row ``(mixture, probabilities, divergence, evaluations, converged)``.
+    """
+    (runs, k), h = freq.shape, indices.shape[0]
+    lam, neg_div = np.full((runs, h), 1.0 / h), np.full(runs, -math.inf)
+    iterations, converged = np.zeros(runs, dtype=np.int64), np.ones(runs, dtype=bool)
+    supports, group = np.unique(freq > 0.0, axis=0, return_inverse=True)
+    for g, support in enumerate(supports):
+        support = np.flatnonzero(support)
+        if h * support.size > PROJECTION_TABLE_CAP:
+            raise SizeLimitError(f"projection work table {h} x {support.size} exceeds {PROJECTION_TABLE_CAP} entries")
+        # dense (H x support) vertex table, built from the sparse index map
+        col_of = np.full(k, -1, dtype=np.int64)
+        col_of[support] = np.arange(support.size)
+        e_sup = np.zeros((h, support.size))
+        rows, cols = np.nonzero(col_of[indices] >= 0)
+        e_sup[rows, col_of[indices[rows, cols]]] += setting_w[cols]
+        if np.all(e_sup.max(axis=0) > 0.0):  # else some observed result is impossible under every strategy
+            # maximize minus the divergence, summed as q log2(q / p)
+            sel = np.flatnonzero(group == g)
+            lam[sel], neg_div[sel], iterations[sel], converged[sel] = _multiplicative_update(
+                e_sup.T, freq[np.ix_(sel, support)], lam[sel], lambda f, mix, ratio: -_dots(f, np.log2(ratio)), controls
+            )
     probs = _mixture_probs(indices, setting_w, lam, k)
-    return LRProjection(lam, Distribution(scenario, probs / probs.sum()), -neg_div, iterations, converged)
+    return lam, probs / probs.sum(axis=1, keepdims=True), -neg_div, iterations, converged

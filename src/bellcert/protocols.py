@@ -24,7 +24,7 @@ import numpy as np
 from .functionals import Functional, StandardizedFunctional, expectation
 from .gainrates import gain_martingale, gain_spbr, optimal_gain
 from .lrpolytope import strategy_result_indices
-from .optim import DEFAULT_CONTROLS, OptimizerControls, kl_project_lr, maximize_log_gain
+from .optim import DEFAULT_CONTROLS, OptimizerControls, _project_rows, maximize_log_gain
 from .scenario import Distribution, Scenario, _check_same_scenario, _dense_size, _encoded
 
 # Smallest positive double; reported p-values are clamped here instead of 0.
@@ -33,6 +33,9 @@ P_FLOOR = 5e-324
 # Defaults of every protocol run: trials per block, and fpbr's frequency floor.
 DEFAULT_BLOCK = 154
 DEFAULT_FLOOR = 1e-9
+
+# One scoring pass holds at most this many (block, result) entries.
+PASS_ENTRIES = 2**16
 
 
 def pbr_pvalue(log2_t):
@@ -84,10 +87,10 @@ class BlockAnalysis:
     """The block-scoring engine shared by the three protocols.
 
     Subclasses are predictors: the constructor passes the score table of the
-    first block, and :meth:`_predict` returns the table for each later block
-    from the result ``counts`` seen before it.  Trials arrive through
-    :meth:`extend` as int64 encoded result indices, in chunks of any size;
-    the history does not depend on the chunking.
+    first block, and :meth:`_predict` returns the tables of later blocks from
+    the result counts seen before each.  Trials arrive through :meth:`extend`
+    as int64 encoded result indices, in chunks of any size; the history does
+    not depend on the chunking.
     """
 
     statistic_name = "log2_T"
@@ -104,14 +107,13 @@ class BlockAnalysis:
         self.flags: list[str] = []
         self._totals: list[np.ndarray] = []
 
-    def _predict(self) -> np.ndarray:
-        """Score table for the block starting at trial n + 1."""
-        return self.table
+    def _predict(self, counts: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(blocks, K) score tables for blocks starting after trials ``n``, which saw the rows of ``counts``;
+        with, per block, False where the refit hit the iteration budget."""
+        return np.tile(self.table, (n.size, 1)), np.ones(n.size, dtype=bool)
 
     def _scores(self, values: np.ndarray) -> np.ndarray:
         """Per-trial log2 ratio; a zero ratio scores -inf, which pins the p-value to 1."""
-        for i in np.flatnonzero(values <= 0.0):
-            self.flags.append(f"zero-valued ratio at trial {self.n + i + 1}; p-value pinned to 1")
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(values > 0.0, np.log2(values), -np.inf)
 
@@ -120,19 +122,37 @@ class BlockAnalysis:
         return totals, totals
 
     def extend(self, trials: np.ndarray) -> None:
-        """Score encoded trials in order, refreshing the table at each block boundary."""
-        enc = _encoded(trials, self.table.size)
-        pos = 0
-        while pos < enc.size:
-            if self.n and self.n % self.block_size == 0:
-                self.table = self._predict()
-            block = enc[pos : pos + self.block_size - self.n % self.block_size]
-            running = np.cumsum(np.concatenate(([self.total], self._scores(self.table[block]))))[1:]
+        """Score encoded trials in order, with the table refreshed at each block boundary.
+
+        One :meth:`_predict` call per pass gives the tables of the blocks starting in it; a pass
+        spans at most ``PASS_ENTRIES // K`` blocks, which bounds its (blocks, K) work arrays.
+        """
+        k, size = self.table.size, min(self.block_size, sys.maxsize)  # no run reaches sys.maxsize trials
+        enc = _encoded(trials, k)
+        while enc.size:
+            first = self.n // size  # the block of the pass's first trial
+            cut = (first + max(PASS_ENTRIES // k, 1)) * size - self.n
+            chunk, enc = enc[:cut], enc[cut:]
+            # (block in the pass, result) of each trial, as one flat index into (blocks, K) arrays
+            cell = ((self.n + np.arange(chunk.size)) // size - first) * k + chunk
+            seen = np.cumsum(np.bincount(cell, minlength=cell[-1] // k * k + k).reshape(-1, k), axis=0) + self.counts
+            starts = (first + np.arange(len(seen))) * size
+            fresh = starts >= max(self.n, 1)  # blocks that start in this pass, after trial 1
+            tables, capped = self.table[None], starts[:0]
+            if fresh.any():
+                refits, fitted = self._predict(np.vstack((self.counts, seen[:-1]))[fresh], starts[fresh])
+                tables, capped = np.vstack((tables, refits))[-len(seen) :], starts[fresh][~fitted]
+            scores = self._scores(tables.ravel()[cell])
+            # each block's budget warning comes before its zero-ratio warnings
+            events = [(m, f"{self.refit_name} before trial {m + 1} hit the iteration budget") for m in capped]
+            for t in self.n + np.flatnonzero(scores == -np.inf):
+                events.append((t, f"zero-valued ratio at trial {t + 1}; p-value pinned to 1"))
+            self.flags += [text for _, text in sorted(events, key=lambda e: e[0])]
+            running = np.cumsum(np.concatenate(([self.total], scores)))[1:]
             self._totals.append(running)
             self.total = float(running[-1])
-            np.add.at(self.counts, block, 1)
-            self.n += block.size
-            pos += block.size
+            self.table, self.counts = tables[-1], seen[-1]
+            self.n += chunk.size
 
     @property
     def statistic(self) -> float:
@@ -203,6 +223,8 @@ class SimplifiedPbrAnalysis(BlockAnalysis):
         controls: optimizer budget for the per-block refits.
     """
 
+    refit_name = "weight refit"
+
     def __init__(
         self,
         functions: Sequence[StandardizedFunctional],
@@ -223,13 +245,14 @@ class SimplifiedPbrAnalysis(BlockAnalysis):
         self._r = np.column_stack([f.table for f in functions])
         super().__init__(scenario, block_size, self._r @ self.weights)
 
-    def _predict(self) -> np.ndarray:
-        opt = maximize_log_gain(self._r, self.counts / self.n, self.controls)
-        if not opt.converged:
-            self.flags.append(f"weight refit before trial {self.n + 1} hit the iteration budget")
-        self.weights = opt.weights
-        self.block_weights.append((self.n + 1, self.weights.copy()))
-        return self._r @ self.weights
+    def _predict(self, counts, n):
+        tables, fitted = np.empty(counts.shape), np.empty(n.size, dtype=bool)
+        for i, (seen, m) in enumerate(zip(counts, n)):
+            opt = maximize_log_gain(self._r, seen / m, self.controls)
+            self.weights, fitted[i] = opt.weights, opt.converged
+            self.block_weights.append((int(m) + 1, self.weights.copy()))
+            tables[i] = self._r @ self.weights
+        return tables, fitted
 
     @property
     def log2_t(self) -> float:
@@ -254,6 +277,8 @@ class FullPbrAnalysis(BlockAnalysis):
             ratio positive on never-observed results).
     """
 
+    refit_name = "projection"
+
     def __init__(
         self,
         scenario: Scenario,
@@ -269,25 +294,19 @@ class FullPbrAnalysis(BlockAnalysis):
         self._indices, self._setting_w = strategy_result_indices(scenario)
         super().__init__(scenario, block_size, np.ones(k))
 
-    def _predict(self) -> np.ndarray:
-        k = self.table.size
-        freq = self.counts / self.n
+    def _predict(self, counts, n):
+        freq = counts / n[:, None]
         if self.floor > 0.0:
-            freq = (1.0 - self.floor) * freq + self.floor / k
-        q = Distribution(self.scenario, freq, empirical=True)
+            freq = (1.0 - self.floor) * freq + self.floor / self.table.size
         # a cold start leaves every strategy reachable; convergence keeps the
         # rescue rescale below log2(1 + rel_tolerance) bits per trial
-        proj = kl_project_lr(q, self.controls)
-        if not proj.converged:
-            self.flags.append(f"projection before trial {self.n + 1} hit the iteration budget")
-        p = proj.distribution.probs
+        _, p, _, _, converged = _project_rows(freq, self._indices, self._setting_w, self.controls)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(p > 0.0, freq / np.where(p > 0.0, p, 1.0), 0.0)
-        # cap the worst-case LR expectation of the ratio at exactly 1
-        worst = float((ratio[self._indices] @ self._setting_w).max())
-        if worst > 1.0:
-            ratio = ratio / worst
-        return ratio
+        # cap the worst-case LR expectation of the ratio at exactly 1; np.take keeps each row's
+        # (H, J) gather row-major, so it rounds as ratio[indices] @ w does for one row
+        worst = (np.take(ratio, self._indices, axis=1) @ self._setting_w).max(axis=1)
+        return ratio / np.where(worst > 1.0, worst, 1.0)[:, None], converged
 
     @property
     def log2_t(self) -> float:

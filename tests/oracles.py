@@ -242,7 +242,7 @@ def kl_project_lr_reference(
     return lam, mixture(lam), div, iterations, converged
 
 
-def _squarem_em_reference(table, freq, weights, objective, max_iterations, rel_tolerance):
+def _squarem_em_reference(table, freq, weights, objective, max_iterations, rel_tolerance, steps=None):
     """EM with SqS3 SQUAREM steps and a KKT-gap stop, written out step by step.
 
     Maximizes ``objective(mix)``, ``mix = table @ w``, where the EM map is
@@ -251,8 +251,11 @@ def _squarem_em_reference(table, freq, weights, objective, max_iterations, rel_t
     ``x0 + 2 s r + s^2 v`` (``r = x1 - x0``, ``v = x2 - 2 x1 + x0``,
     ``s = |r| / |v|``) when ``s > 1``, keeping it only if it is positive and
     no worse than x2.  Every evaluated point counts against the budget.
-    Returns ``(weights, objective, evaluations, converged)``.
+    Returns ``(weights, objective, evaluations, converged)``; a ``steps``
+    list receives the outcome of each extrapolation: "none" (``s <= 1`` or
+    ``v = 0``), "non-positive", "rejected" or "accepted".
     """
+    steps = [] if steps is None else steps
     evaluations = 0
 
     def point(w):
@@ -291,6 +294,11 @@ def _squarem_em_reference(table, freq, weights, objective, max_iterations, rel_t
                 trial = point(x / x.sum())
                 if trial[1] >= x2[1]:
                     nxt = trial
+                steps.append("accepted" if nxt is trial else "rejected")
+            else:
+                steps.append("non-positive")
+        else:
+            steps.append("none")
         cur = nxt
     return cur[0], cur[1], evaluations, stationary(cur)
 
@@ -339,3 +347,42 @@ def kl_project_lr_squarem_reference(q_probs, indices, setting_w, max_iterations=
         e_sup.T, qs, lam, lambda p: -float(np.dot(qs, np.log2(qs / p))), max_iterations, rel_tolerance
     )
     return lam, mixture(lam), -neg_div, iterations, converged
+
+
+def run_full_pbr_reference(trials, indices, setting_w, k, block_size, floor, project):
+    """The full protocol as a per-block loop with one projection call per block, as first written.
+
+    ``project(freq)`` returns ``(projected probabilities, converged)`` for one
+    floored frequency table over the ``k`` results (one ``kl_project_lr``
+    call), and ``(indices, setting_w)`` is the strategy index map.  Returns
+    ``(history, log2_t, flags)``; history rows are ``(n, log2 T, p-value)``.
+    """
+    counts, table, total = np.zeros(k, dtype=np.int64), np.ones(k), 0.0
+    totals, flags = [], []
+    for start in range(0, len(trials), block_size):
+        if start:
+            freq = counts / start
+            if floor > 0.0:
+                freq = (1.0 - floor) * freq + floor / k
+            p, converged = project(freq)
+            if not converged:
+                flags.append(f"projection before trial {start + 1} hit the iteration budget")
+            with np.errstate(divide="ignore", invalid="ignore"):
+                table = np.where(p > 0.0, freq / np.where(p > 0.0, p, 1.0), 0.0)
+            worst = float((table[indices] @ setting_w).max())
+            if worst > 1.0:
+                table = table / worst
+        block = trials[start : start + block_size]
+        values = table[block]
+        for i in np.flatnonzero(values <= 0.0):
+            flags.append(f"zero-valued ratio at trial {start + i + 1}; p-value pinned to 1")
+        with np.errstate(divide="ignore"):
+            scores = np.where(values > 0.0, np.log2(values), -np.inf)
+        running = np.cumsum(np.concatenate(([total], scores)))[1:]
+        totals.append(running)
+        total = float(running[-1])
+        np.add.at(counts, block, 1)
+    t = np.concatenate(totals)
+    with np.errstate(over="ignore"):
+        p_values = np.where(t > 0.0, np.maximum(np.exp2(-t), 5e-324), 1.0)
+    return np.column_stack([np.arange(1, t.size + 1), t, p_values]), total, flags

@@ -385,3 +385,15 @@ def test_simulate_takes_a_functional_file(tmp_path, capsys):
     assert capsys.readouterr().out == by_name
     assert main(argv + ["--functions", f"file:{cglmp_path}"]) == 3
     assert "does not match" in capsys.readouterr().err
+
+
+def test_analyze_defaults_functions_from_the_scenario(tmp_path, capsys, cglmp3_q):
+    # without --functions a (2,2,3) file is analyzed with cglmp:3, as simulate does
+    path = tmp_path / "t3.jsonl"
+    write_trials(path, cglmp3_q.scenario, sample_encoded(cglmp3_q, 200, seed=5))
+    outputs = []
+    for extra in ([], ["--functions", "cglmp:3"]):
+        out = tmp_path / f"out{len(extra)}"
+        assert main(["analyze", str(path), "--scenario", "2,2,3", "--out", str(out), *extra]) == 0
+        outputs.append((capsys.readouterr().out.replace(str(out), "OUT"), [p.read_bytes() for p in sorted(out.iterdir())]))
+    assert outputs[0] == outputs[1] and len(outputs[0][1]) == 2

@@ -21,8 +21,9 @@ from bellcert import (
     uniform_outcome_distribution,
 )
 
-from bellcert.optim import DEFAULT_CONTROLS
+from bellcert.optim import DEFAULT_CONTROLS, LOCKSTEP_ROWS, _dots, _multiplicative_update, _project_rows
 from oracles import (
+    _squarem_em_reference,
     enumerate_strategy_distributions,
     golden_section_max,
     kl_project_lr_reference,
@@ -350,3 +351,71 @@ def test_controls_validation():
         OptimizerControls(max_iterations=0)
     with pytest.raises(ValueError):
         OptimizerControls(rel_tolerance=0.0)
+
+
+def _gain_objective(f, mix, ratio):
+    return _dots(f, np.log2(mix))
+
+
+def _run_axis_gain_problem(seed):
+    # one function table, enough frequency rows over the same support to step in lockstep
+    rng = np.random.default_rng(seed)
+    r = np.column_stack([np.ones(30), rng.random((30, 5)) * 3.0])
+    return r, rng.dirichlet(np.full(30, 0.3), size=LOCKSTEP_ROWS + 2)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_run_axis_gain_rows_equal_single_solves(budget):
+    controls = _controls_for(budget)
+    steps = []
+    for seed in range(3):
+        r, freq = _run_axis_gain_problem(seed)
+        start = np.full((len(freq), r.shape[1]), 1.0 / r.shape[1])
+        w, gain, evaluations, converged = _multiplicative_update(r, freq, start, _gain_objective, controls)
+        for i, f in enumerate(freq):
+            one = maximize_log_gain(r, f, controls)
+            assert np.array_equal(w[i], one.weights)
+            assert (gain[i], evaluations[i], converged[i]) == (one.gain, one.iterations, one.converged)
+            reference = _squarem_em_reference(
+                r, f, start[i], lambda mix: float(np.dot(f, np.log2(mix))), controls.max_iterations,
+                controls.rel_tolerance, steps,
+            )
+            assert np.array_equal(w[i], reference[0])
+            assert (gain[i], evaluations[i], converged[i]) == reference[1:]
+    if budget is None:
+        # the rows took every kind of extrapolation step between them
+        assert {"accepted", "rejected", "non-positive"} <= set(steps)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_run_axis_projection_rows_equal_single_solves(cglmp3_q, budget):
+    # unfloored prefix frequencies: the early rows have supports of their own
+    controls = _controls_for(budget)
+    codes = sample_encoded(cglmp3_q, 800, seed=3)
+    freq = np.array([np.bincount(codes[:n], minlength=36) / n for n in range(100, 801, 50)])
+    supports = [tuple(f > 0.0) for f in freq]
+    assert len(set(supports)) > 2 and max(map(supports.count, supports)) >= LOCKSTEP_ROWS
+    indices, setting_w = strategy_result_indices(cglmp3_q.scenario)
+    lam, probs, div, evaluations, converged = _project_rows(freq, indices, setting_w, controls)
+    for i, f in enumerate(freq):
+        one = kl_project_lr(Distribution(cglmp3_q.scenario, f, empirical=True), controls)
+        assert np.array_equal(lam[i], one.mixture) and np.array_equal(probs[i], one.distribution.probs)
+        assert (div[i], evaluations[i], converged[i]) == (one.divergence, one.iterations, one.converged)
+        reference = kl_project_lr_squarem_reference(f, indices, setting_w, controls.max_iterations, controls.rel_tolerance)
+        assert np.array_equal(lam[i], reference[0]) and np.array_equal(probs[i], reference[1])
+        assert (div[i], evaluations[i], converged[i]) == reference[2:]
+
+
+def test_run_axis_unreachable_rows_keep_uniform_weights():
+    # no strategy reaches joint setting (2, 2): rows with mass there return at once, the others are solved
+    scenario = Scenario(2, 2, 2, np.array([0.5, 0.25, 0.25, 0.0]))
+    indices, setting_w = strategy_result_indices(scenario)
+    reachable = np.r_[np.full(12, 1.0 / 12.0), np.zeros(4)]
+    skewed = np.r_[np.linspace(1.0, 2.0, 12) / np.linspace(1.0, 2.0, 12).sum(), np.zeros(4)]
+    freq = np.array([np.full(16, 1.0 / 16.0), reachable, np.r_[np.zeros(15), 1.0], skewed])
+    lam, probs, div, evaluations, converged = _project_rows(freq, indices, setting_w, DEFAULT_CONTROLS)
+    for i, f in enumerate(freq):
+        reference = kl_project_lr_squarem_reference(f, indices, setting_w)
+        assert np.array_equal(lam[i], reference[0]) and np.array_equal(probs[i], reference[1])
+        assert (div[i], evaluations[i], converged[i]) == reference[2:]
+    assert list(div == math.inf) == [True, False, True, False] and min(evaluations[1], evaluations[3]) > 0

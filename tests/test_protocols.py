@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bellcert import (
+    Distribution,
     FullPbrAnalysis,
     OptimizerControls,
     Scenario,
@@ -17,6 +18,7 @@ from bellcert import (
     encode_trials,
     gain_martingale,
     gain_spbr,
+    kl_project_lr,
     martingale_pvalue,
     no_signaling_functionals,
     pbr_pvalue,
@@ -26,10 +28,12 @@ from bellcert import (
     sample_encoded,
     standardize,
     strategy_distribution,
+    strategy_result_indices,
     trivial_standardized,
     uniform_outcome_distribution,
 )
 from bellcert.protocols import get_protocol
+from oracles import run_full_pbr_reference
 
 
 def test_pbr_pvalue_basics():
@@ -276,6 +280,33 @@ def test_chunked_extend_matches_one_call(chsh_q, protocol):
         assert chunked.n == whole.n
         assert np.array_equal(chunked.history(), whole.history())
         assert chunked.pvalue == whole.pvalue == whole.history()[-1, 2]
+
+
+@pytest.mark.parametrize("budget", [5, 50, None])
+@pytest.mark.parametrize("floor", [1e-9, 0.0])
+@pytest.mark.parametrize("config", ["chsh", "cglmp:3"])
+def test_fpbr_one_pass_projections_match_per_block_calls(chsh_q, cglmp3_q, config, floor, budget):
+    # all projections of a pass are one run-axis solve; the reference makes one kl_project_lr call per block
+    q = chsh_q if config == "chsh" else cglmp3_q
+    controls = OptimizerControls() if budget is None else OptimizerControls(max_iterations=budget)
+    block = 25
+    enc = sample_encoded(q, 400, seed=3)
+    indices, setting_w = strategy_result_indices(q.scenario)
+
+    def project(freq):
+        proj = kl_project_lr(Distribution(q.scenario, freq, empirical=True), controls)
+        return proj.distribution.probs, proj.converged
+
+    history, log2_t, flags = run_full_pbr_reference(enc, indices, setting_w, q.probs.size, block, floor, project)
+    assert any("hit the iteration budget" in f for f in flags) == (budget is not None)
+    assert any("zero-valued ratio" in f for f in flags) == (floor == 0.0)
+    for size in (1, 7, block, enc.size):
+        analysis = FullPbrAnalysis(q.scenario, block, controls, floor)
+        for start in range(0, enc.size, size):
+            analysis.extend(enc[start : start + size])
+        assert np.array_equal(analysis.history(), history)
+        assert analysis.log2_t == log2_t
+        assert analysis.flags == flags
 
 
 # Final values with refits that stop on the KKT gap 1e-8 (fpbr projecting from a
