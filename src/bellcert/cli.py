@@ -46,8 +46,12 @@ def _controls(args) -> OptimizerControls:
     return OptimizerControls(max_iterations=args.max_iter, rel_tolerance=args.tol)
 
 
-def _names(text: str) -> tuple[str, ...]:
-    return tuple(n.strip() for n in text.split(",") if n)
+def _names(text: str | None, option: str) -> tuple[str, ...]:
+    """The names of a comma-list option; () when the option is not given."""
+    names = tuple(n.strip() for n in (text or "").split(",") if n)
+    if text is not None and not names:
+        raise ValueError(f"{option} {text!r} names nothing")
+    return names
 
 
 def _source_distribution(args):
@@ -68,8 +72,8 @@ def cmd_analyze(args) -> int:
     encoded = read_trials(args.trials_file, scenario)
     if encoded.size == 0:
         raise ScenarioMismatchError(f"{args.trials_file}: no trial records")
-    functions = build_function_set(_names(args.functions or "") or default_function_names(scenario), scenario)
-    protocols = select_protocols(_names(args.protocol), args.block)
+    functions = build_function_set(_names(args.functions, "--functions") or default_function_names(scenario), scenario)
+    protocols = select_protocols(_names(args.protocol, "--protocol"), args.block)
     controls = _controls(args)
     analyses = {
         name: protocol.run(encoded, functions, args.block, controls, args.floor) for name, protocol in protocols.items()
@@ -98,8 +102,8 @@ def cmd_simulate(args) -> int:
         source=source,
         n_trials=args.trials,
         seed=args.seed,
-        protocols=_names(args.protocol),
-        function_names=_names(args.functions or ""),
+        protocols=_names(args.protocol, "--protocol"),
+        function_names=_names(args.functions, "--functions"),
         block_size=args.block,
         controls=_controls(args),
         floor=args.floor,

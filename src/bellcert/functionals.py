@@ -245,7 +245,7 @@ def catalog_names(scenario: Scenario) -> list[str]:
 def default_function_names(scenario: Scenario) -> tuple[str, ...]:
     """The catalog Bell functional of a (2, 2, d) scenario with uniform settings: ``chsh`` or ``cglmp:<d>``."""
     if not _two_by_two(scenario):
-        raise ValueError("no default function set for this scenario; supply function_names")
+        raise ValueError("no default function set for this scenario; supply function_names (CLI: --functions)")
     d = scenario.outcomes_per_setting
     return ("chsh",) if d == 2 else (f"cglmp:{d}",)
 

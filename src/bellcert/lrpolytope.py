@@ -87,15 +87,12 @@ def mixture_distribution(scenario: Scenario, weights: np.ndarray) -> Distributio
     if not (np.all(lam >= 0.0) and abs(float(lam.sum()) - 1.0) <= 1e-10):
         raise ValueError("weights must be non-negative and sum to 1 within 1e-10")
     indices, w = strategy_result_indices(scenario)
-    return Distribution(scenario, _mixture_probs(indices, w, lam[None], result_space_size(scenario))[0])
+    return Distribution(scenario, _mixture_probs(indices, w, lam, result_space_size(scenario)))
 
 
 def _mixture_probs(indices: np.ndarray, setting_w: np.ndarray, lam: np.ndarray, k: int) -> np.ndarray:
-    """Result probabilities of the strategy mixtures in the rows of lam (runs x H), from the index map of
-    :func:`strategy_result_indices`; each row sums in the order of a one-row call."""
-    runs = len(lam)
-    codes = indices + k * np.arange(runs)[:, None, None]
-    return np.bincount(codes.ravel(), weights=(lam[:, :, None] * setting_w).ravel(), minlength=runs * k).reshape(runs, k)
+    """Result probabilities of the strategy mixture lam, from the index map of :func:`strategy_result_indices`."""
+    return np.bincount(indices.ravel(), weights=(lam[:, None] * setting_w[None, :]).ravel(), minlength=k)
 
 
 def vertex_expectations(scenario: Scenario, values: np.ndarray) -> np.ndarray:

@@ -88,7 +88,7 @@ def _dots(a: np.ndarray, b: np.ndarray):
 
 
 def _update_row(table: np.ndarray, f: np.ndarray, weights: np.ndarray, objective, controls: OptimizerControls):
-    """One row of :func:`_multiplicative_update`, with less work per evaluation than the lockstep loop."""
+    """:func:`_multiplicative_update` of one row, with less work per evaluation than the lockstep loop."""
     bound = 1.0 + controls.rel_tolerance
     iterations = 0
 
@@ -114,7 +114,7 @@ def _update_row(table: np.ndarray, f: np.ndarray, weights: np.ndarray, objective
             if np.all(x > 0.0) and (trial := evaluate(x / x.sum()))[1] >= x2[1]:
                 path = [trial]
     w, value, factor = path[-1]
-    return w, value, iterations, factor.max() <= bound
+    return w, value, iterations, bool(factor.max() <= bound)
 
 
 def _multiplicative_update(
@@ -136,11 +136,11 @@ def _multiplicative_update(
     one-row solves.  Returns per-row ``(weights, objective, objective
     evaluations, converged)``.
     """
-    if len(weights) < LOCKSTEP_ROWS:
-        solved = [_update_row(table, f, w, objective, controls) for f, w in zip(freq, weights)]
-        return tuple(np.array(a) for a in zip(*solved))
-    bound = 1.0 + controls.rel_tolerance
     runs = len(weights)
+    if runs < LOCKSTEP_ROWS:
+        solved = [_update_row(table, f, w, objective, controls) for f, w in zip(freq, weights)]
+        return tuple(map(np.array, zip(*solved)))
+    bound = 1.0 + controls.rel_tolerance
     out = (np.empty_like(weights), np.empty(runs), np.zeros(runs, dtype=np.int64), np.zeros(runs, dtype=bool))
     ids, f, count = np.arange(runs), freq, np.zeros(runs, dtype=np.int64)  # the rows still iterating
 
@@ -150,34 +150,30 @@ def _multiplicative_update(
         ratio = f[rows] / mix
         return w, objective(f[rows], mix, ratio), np.matmul(table.T, ratio[:, :, None])[:, :, 0]
 
-    path = [evaluate(weights, slice(None))]  # the current SQUAREM step's (weights, objective, factor) at x0, x1, x2
+    path = [evaluate(weights, slice(None))]  # as in _update_row, with a leading row axis
     while ids.size:
         w, value, factor = path[-1]
         gap = factor.max(axis=1)
-        stop = ~((gap > bound) & (count < controls.max_iterations))
-        if stop.any():
+        go = (gap > bound) & (count < controls.max_iterations)
+        if not go.all():  # store the rows that stop and drop them
             for a, b in zip(out, (w, value, count, gap <= bound)):
-                a[ids[stop]] = b[stop]
-            ids, f, count = ids[~stop], f[~stop], count[~stop]
-            path = [tuple(a[~stop] for a in x) for x in path]
-            continue
-        if len(path) < 3:
+                a[ids[~go]] = b[~go]
+            ids, f, count, path = ids[go], f[go], count[go], [tuple(a[go] for a in x) for x in path]
+        elif len(path) < 3:
             w = w * factor
             path.append(evaluate(w / w.sum(axis=1, keepdims=True), slice(None)))
-            continue
-        (x0, _, _), (x1, _, _), x2 = path
-        path = [x2]
-        r, v = x1 - x0, x2[0] - 2.0 * x1 + x0
-        rr, vv = _dots(r, r), _dots(v, v)
-        ext = np.flatnonzero((rr > vv) & (vv > 0.0))  # -alpha = sqrt(rr / vv) > 1
-        s = rr[ext] / vv[ext]
-        x = x0[ext] + (2.0 * np.sqrt(s))[:, None] * r[ext] + s[:, None] * v[ext]
-        ext, x = ext[np.all(x > 0.0, axis=1)], x[np.all(x > 0.0, axis=1)]
-        if ext.size:
-            trial = evaluate(x / x.sum(axis=1, keepdims=True), ext)
-            better = trial[1] >= x2[1][ext]
-            for a, b in zip(x2, trial):
-                a[ext[better]] = b[better]
+        else:
+            (x0, _, _), (x1, _, _), x2 = path
+            r, v = x1 - x0, x2[0] - 2.0 * x1 + x0
+            rr, vv = _dots(r, r), _dots(v, v)
+            s = np.where(vv > 0.0, rr, 0.0) / np.where(vv > 0.0, vv, 1.0)  # alpha^2 (0 if v = 0); s > 1 iff rr > vv > 0
+            x = x0 + (2.0 * np.sqrt(s))[:, None] * r + s[:, None] * v
+            ext, path = np.flatnonzero((s > 1.0) & np.all(x > 0.0, axis=1)), [x2]
+            if ext.size:
+                trial = evaluate(x[ext] / x[ext].sum(axis=1, keepdims=True), ext)
+                better = trial[1] >= x2[1][ext]
+                for a, b in zip(x2, trial):
+                    a[ext[better]] = b[better]
     return out
 
 
@@ -213,11 +209,11 @@ def maximize_log_gain(
     if not np.allclose(r[:, 0], 1.0, rtol=0, atol=1e-12):
         raise ValueError("column 0 of r_values must be the trivial (all ones) function")
     active = f > 0.0
+    r, f = r[active], f[active]
     m = r.shape[1]
-    w, gain, iterations, converged = _multiplicative_update(
-        r[active], f[None, active], np.full((1, m), 1.0 / m), lambda f, mix, ratio: _dots(f, np.log2(mix)), controls
+    return GainOptimum(
+        *_update_row(r, f, np.full(m, 1.0 / m), lambda f, mix, ratio: float(np.dot(f, np.log2(mix))), controls)
     )
-    return GainOptimum(w[0], float(gain[0]), int(iterations[0]), bool(converged[0]))
 
 
 def kl_divergence(q: Distribution, p: Distribution) -> float:
@@ -274,5 +270,5 @@ def _project_rows(freq: np.ndarray, indices: np.ndarray, setting_w: np.ndarray, 
             lam[sel], neg_div[sel], iterations[sel], converged[sel] = _multiplicative_update(
                 e_sup.T, freq[np.ix_(sel, support)], lam[sel], lambda f, mix, ratio: -_dots(f, np.log2(ratio)), controls
             )
-    probs = _mixture_probs(indices, setting_w, lam, k)
+    probs = np.array([_mixture_probs(indices, setting_w, row, k) for row in lam])
     return lam, probs / probs.sum(axis=1, keepdims=True), -neg_div, iterations, converged

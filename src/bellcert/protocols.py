@@ -34,7 +34,8 @@ P_FLOOR = 5e-324
 DEFAULT_BLOCK = 154
 DEFAULT_FLOOR = 1e-9
 
-# One scoring pass holds at most this many (block, result) entries.
+# A scoring pass spans at most this many entries of per-block work arrays: (block, result)
+# counts and tables, and fpbr's (block, strategy) projection weights.
 PASS_ENTRIES = 2**16
 
 
@@ -106,6 +107,7 @@ class BlockAnalysis:
         self.counts = np.zeros(table.size, dtype=np.int64)
         self.flags: list[str] = []
         self._totals: list[np.ndarray] = []
+        self._pass_blocks = max(PASS_ENTRIES // table.size, 1)
 
     def _predict(self, counts: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(blocks, K) score tables for blocks starting after trials ``n``, which saw the rows of ``counts``;
@@ -125,13 +127,13 @@ class BlockAnalysis:
         """Score encoded trials in order, with the table refreshed at each block boundary.
 
         One :meth:`_predict` call per pass gives the tables of the blocks starting in it; a pass
-        spans at most ``PASS_ENTRIES // K`` blocks, which bounds its (blocks, K) work arrays.
+        spans at most ``_pass_blocks`` blocks, which bounds its work arrays and the predictor's.
         """
         k, size = self.table.size, min(self.block_size, sys.maxsize)  # no run reaches sys.maxsize trials
         enc = _encoded(trials, k)
         while enc.size:
             first = self.n // size  # the block of the pass's first trial
-            cut = (first + max(PASS_ENTRIES // k, 1)) * size - self.n
+            cut = (first + self._pass_blocks) * size - self.n
             chunk, enc = enc[:cut], enc[cut:]
             # (block in the pass, result) of each trial, as one flat index into (blocks, K) arrays
             cell = ((self.n + np.arange(chunk.size)) // size - first) * k + chunk
@@ -143,11 +145,11 @@ class BlockAnalysis:
                 refits, fitted = self._predict(np.vstack((self.counts, seen[:-1]))[fresh], starts[fresh])
                 tables, capped = np.vstack((tables, refits))[-len(seen) :], starts[fresh][~fitted]
             scores = self._scores(tables.ravel()[cell])
-            # each block's budget warning comes before its zero-ratio warnings
-            events = [(m, f"{self.refit_name} before trial {m + 1} hit the iteration budget") for m in capped]
-            for t in self.n + np.flatnonzero(scores == -np.inf):
-                events.append((t, f"zero-valued ratio at trial {t + 1}; p-value pinned to 1"))
-            self.flags += [text for _, text in sorted(events, key=lambda e: e[0])]
+            # by trial, each block's budget warning before its zero-ratio warnings
+            flags = [(m, 0, f"{self.refit_name} before trial {m + 1} hit the iteration budget") for m in capped]
+            zeros = self.n + np.flatnonzero(scores == -np.inf)
+            flags += [(t, 1, f"zero-valued ratio at trial {t + 1}; p-value pinned to 1") for t in zeros]
+            self.flags += [text for *_, text in sorted(flags)]
             running = np.cumsum(np.concatenate(([self.total], scores)))[1:]
             self._totals.append(running)
             self.total = float(running[-1])
@@ -293,6 +295,7 @@ class FullPbrAnalysis(BlockAnalysis):
         self.floor = floor
         self._indices, self._setting_w = strategy_result_indices(scenario)
         super().__init__(scenario, block_size, np.ones(k))
+        self._pass_blocks = max(PASS_ENTRIES // len(self._indices), 1)  # a projection holds H >= K weights per block
 
     def _predict(self, counts, n):
         freq = counts / n[:, None]
@@ -303,9 +306,8 @@ class FullPbrAnalysis(BlockAnalysis):
         _, p, _, _, converged = _project_rows(freq, self._indices, self._setting_w, self.controls)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(p > 0.0, freq / np.where(p > 0.0, p, 1.0), 0.0)
-        # cap the worst-case LR expectation of the ratio at exactly 1; np.take keeps each row's
-        # (H, J) gather row-major, so it rounds as ratio[indices] @ w does for one row
-        worst = (np.take(ratio, self._indices, axis=1) @ self._setting_w).max(axis=1)
+        # cap the worst-case LR expectation of the ratio at exactly 1
+        worst = np.array([(row[self._indices] @ self._setting_w).max() for row in ratio])
         return ratio / np.where(worst > 1.0, worst, 1.0)[:, None], converged
 
     @property

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from bellcert import (
@@ -397,3 +398,20 @@ def test_analyze_defaults_functions_from_the_scenario(tmp_path, capsys, cglmp3_q
         assert main(["analyze", str(path), "--scenario", "2,2,3", "--out", str(out), *extra]) == 0
         outputs.append((capsys.readouterr().out.replace(str(out), "OUT"), [p.read_bytes() for p in sorted(out.iterdir())]))
     assert outputs[0] == outputs[1] and len(outputs[0][1]) == 2
+
+
+def test_empty_name_lists_and_missing_defaults_name_the_option(tmp_path, capsys, trial_file):
+    # an empty --functions or --protocol is an error, not the default set
+    path, _ = trial_file
+    for option in ("--functions", "--protocol"):
+        for text in ("", ","):
+            assert main(["analyze", str(path), "--scenario", "2,2,2", option, text]) == 2
+            assert f"{option} {text!r} names nothing" in capsys.readouterr().err
+            assert main(["simulate", "--config", "chsh:0.785398", "--trials", "20", option, text]) == 2
+            assert f"{option} {text!r} names nothing" in capsys.readouterr().err
+    # a scenario without a default functional asks for --functions
+    sc = Scenario(2, 3, 2)
+    other = tmp_path / "s3.jsonl"
+    write_trials(other, sc, np.zeros(10, dtype=np.int64))
+    assert main(["analyze", str(other), "--scenario", "2,3,2"]) == 2
+    assert "--functions" in capsys.readouterr().err

@@ -32,7 +32,8 @@ from bellcert import (
     trivial_standardized,
     uniform_outcome_distribution,
 )
-from bellcert.protocols import get_protocol
+from bellcert import protocols
+from bellcert.protocols import BlockAnalysis, get_protocol
 from oracles import run_full_pbr_reference
 
 
@@ -300,13 +301,27 @@ def test_fpbr_one_pass_projections_match_per_block_calls(chsh_q, cglmp3_q, confi
     history, log2_t, flags = run_full_pbr_reference(enc, indices, setting_w, q.probs.size, block, floor, project)
     assert any("hit the iteration budget" in f for f in flags) == (budget is not None)
     assert any("zero-valued ratio" in f for f in flags) == (floor == 0.0)
-    for size in (1, 7, block, enc.size):
+    # chunks of 1, 7, a block and the whole run; the last run also in passes of 3 blocks
+    for size, pass_blocks in ((1, None), (7, None), (block, None), (enc.size, None), (enc.size, 3)):
         analysis = FullPbrAnalysis(q.scenario, block, controls, floor)
+        analysis._pass_blocks = pass_blocks or analysis._pass_blocks
         for start in range(0, enc.size, size):
             analysis.extend(enc[start : start + size])
         assert np.array_equal(analysis.history(), history)
         assert analysis.log2_t == log2_t
         assert analysis.flags == flags
+
+
+def test_fpbr_pass_bounds_the_projection_rows(monkeypatch):
+    # a pass holds at most PASS_ENTRIES (block, strategy) weights: (2, 3, 2) has 64 strategies and 36 results
+    scenario = Scenario(2, 3, 2)
+    rows, project = [], protocols._project_rows
+    monkeypatch.setattr(protocols, "_project_rows", lambda freq, *rest: rows.append(len(freq)) or project(freq, *rest))
+    monkeypatch.setattr(protocols, "PASS_ENTRIES", 64 * 5)
+    analysis = FullPbrAnalysis(scenario, 2, OptimizerControls(max_iterations=20))
+    assert analysis._pass_blocks == 5 < BlockAnalysis(scenario, 2, analysis.table)._pass_blocks == 8
+    analysis.extend(sample_encoded(uniform_outcome_distribution(scenario), 40, seed=1))
+    assert rows == [4, 5, 5, 5] and len(analysis.history()) == 40
 
 
 # Final values with refits that stop on the KKT gap 1e-8 (fpbr projecting from a
