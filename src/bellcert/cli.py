@@ -48,7 +48,7 @@ def _controls(args) -> OptimizerControls:
 
 def _names(text: str | None, option: str) -> tuple[str, ...]:
     """The names of a comma-list option; () when the option is not given."""
-    names = tuple(n.strip() for n in (text or "").split(",") if n)
+    names = tuple(filter(None, (n.strip() for n in (text or "").split(","))))
     if text is not None and not names:
         raise ValueError(f"{option} {text!r} names nothing")
     return names
@@ -111,14 +111,14 @@ def cmd_simulate(args) -> int:
     if args.seeds > 1:
         results = sim.run_seed_sweep(plan, range(args.seed, args.seed + args.seeds), out_dir=args.out)
         for res in results:
-            finals = " ".join(f"{p}={res.neg_log2_pvalue(p):.6g}" for p in plan.protocols)
+            finals = " ".join(f"{p}={res.analyses[p].neg_log2_pvalue:.6g}" for p in plan.protocols)
             print(f"seed={res.plan.seed} neg_log2_p: {finals}")
     else:
         res = sim.run_experiment(plan, out_dir=args.out, per_block=args.per_block)
         for protocol in plan.protocols:
             print(
                 f"protocol={protocol} n={res.analyses[protocol].n}"
-                f" neg_log2_p={res.neg_log2_pvalue(protocol):.10g}"
+                f" neg_log2_p={res.analyses[protocol].neg_log2_pvalue:.10g}"
                 f" p_value={res.analyses[protocol].pvalue:.10g}"
                 f" rate={res.rates[protocol]:.10g}"
             )

@@ -104,14 +104,7 @@ def chsh_functional(scenario: Scenario) -> Functional:
     setting pair (2, 2) carries the negative sign.
     """
     _require_bipartite_two_settings(scenario, "chsh_functional", d=2)
-    table = np.zeros((2, 2, 2, 2))
-    for u in range(2):
-        for v in range(2):
-            sign = -1.0 if u == 1 and v == 1 else 1.0
-            for a in range(2):
-                for b in range(2):
-                    table[u, v, a, b] = 4.0 * sign * (1 - 2 * a) * (1 - 2 * b)
-    return functional_from_table(scenario, table.reshape(-1), 2.0, "chsh")
+    return functional_from_table(scenario, _cglmp_table(2).reshape(-1), 2.0, "chsh")
 
 
 def _cglmp_table(d: int) -> np.ndarray:

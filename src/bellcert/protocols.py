@@ -88,18 +88,19 @@ class BlockAnalysis:
     """The block-scoring engine shared by the three protocols.
 
     Subclasses are predictors: the constructor passes the score table of the
-    first block, and :meth:`_predict` returns the tables of later blocks from
-    the result counts seen before each.  Trials arrive through :meth:`extend`
-    as int64 encoded result indices, in chunks of any size; the history does
-    not depend on the chunking.
+    first block, and ``_predict(counts, n)`` is a pure function that returns,
+    for blocks starting after trials ``n`` that saw the rows of ``counts``,
+    their (blocks, K) score tables and a per-block flag, False where the refit
+    hit the iteration budget.  Trials arrive through :meth:`extend` as int64
+    encoded result indices, in chunks of any size; the history does not depend
+    on the chunking.
     """
 
     statistic_name = "log2_T"
 
-    def __init__(self, scenario: Scenario, block_size: int, table: np.ndarray):
+    def __init__(self, block_size: int, table: np.ndarray):
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
-        self.scenario = scenario
         self.block_size = block_size
         self.table = table
         self.n = 0
@@ -108,11 +109,6 @@ class BlockAnalysis:
         self.flags: list[str] = []
         self._totals: list[np.ndarray] = []
         self._pass_blocks = max(PASS_ENTRIES // table.size, 1)
-
-    def _predict(self, counts: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(blocks, K) score tables for blocks starting after trials ``n``, which saw the rows of ``counts``;
-        with, per block, False where the refit hit the iteration budget."""
-        return np.tile(self.table, (n.size, 1)), np.ones(n.size, dtype=bool)
 
     def _scores(self, values: np.ndarray) -> np.ndarray:
         """Per-trial log2 ratio; a zero ratio scores -inf, which pins the p-value to 1."""
@@ -196,7 +192,7 @@ class MartingaleAnalysis(BlockAnalysis):
         if not (b < bound < a):
             raise ValueError(f"need inf_b < bound_B < sup_a, got {b}, {bound}, {a}")
         self.functional = functional
-        super().__init__(functional.scenario, sys.maxsize, functional.table)
+        super().__init__(sys.maxsize, functional.table)
 
     def _scores(self, values: np.ndarray) -> np.ndarray:
         return values
@@ -241,19 +237,14 @@ class SimplifiedPbrAnalysis(BlockAnalysis):
         for f in functions:
             _check_same_scenario(f.scenario, scenario, f"function {f.name!r}")
         self.controls = controls
-        self.weights = np.zeros(len(functions))
-        self.weights[0] = 1.0
-        self.block_weights: list[tuple[int, np.ndarray]] = [(1, self.weights.copy())]
         self._r = np.column_stack([f.table for f in functions])
-        super().__init__(scenario, block_size, self._r @ self.weights)
+        super().__init__(block_size, functions[0].table)
 
     def _predict(self, counts, n):
         tables, fitted = np.empty(counts.shape), np.empty(n.size, dtype=bool)
         for i, (seen, m) in enumerate(zip(counts, n)):
             opt = maximize_log_gain(self._r, seen / m, self.controls)
-            self.weights, fitted[i] = opt.weights, opt.converged
-            self.block_weights.append((int(m) + 1, self.weights.copy()))
-            tables[i] = self._r @ self.weights
+            tables[i], fitted[i] = self._r @ opt.weights, opt.converged
         return tables, fitted
 
     @property
@@ -294,13 +285,11 @@ class FullPbrAnalysis(BlockAnalysis):
         self.controls = controls
         self.floor = floor
         self._indices, self._setting_w = strategy_result_indices(scenario)
-        super().__init__(scenario, block_size, np.ones(k))
+        super().__init__(block_size, np.ones(k))
         self._pass_blocks = max(PASS_ENTRIES // len(self._indices), 1)  # a projection holds H >= K weights per block
 
     def _predict(self, counts, n):
-        freq = counts / n[:, None]
-        if self.floor > 0.0:
-            freq = (1.0 - self.floor) * freq + self.floor / self.table.size
+        freq = (1.0 - self.floor) * (counts / n[:, None]) + self.floor / self.table.size
         # a cold start leaves every strategy reachable; convergence keeps the
         # rescue rescale below log2(1 + rel_tolerance) bits per trial
         _, p, _, _, converged = _project_rows(freq, self._indices, self._setting_w, self.controls)
@@ -398,18 +387,13 @@ PROTOCOLS = {
 }
 
 
-def get_protocol(name: str) -> Protocol:
-    """The registry entry for a protocol name; ValueError for an unknown one."""
-    try:
-        return PROTOCOLS[name]
-    except KeyError:
-        raise ValueError(f"unknown protocol {name!r} (expected one of {tuple(PROTOCOLS)})") from None
-
-
 def select_protocols(names: Sequence[str], block_size: int) -> dict[str, Protocol]:
-    """Registry entries for one run of distinct named protocols; ValueError also for a block size below 1."""
+    """Registry entries for one run of distinct named protocols; ValueError for an unknown name or a block size below 1."""
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
     if len(set(names)) < len(names):
         raise ValueError(f"protocol names must be distinct, got {','.join(names)}")
-    return {name: get_protocol(name) for name in names}
+    for name in names:
+        if name not in PROTOCOLS:
+            raise ValueError(f"unknown protocol {name!r} (expected one of {tuple(PROTOCOLS)})")
+    return {name: PROTOCOLS[name] for name in names}

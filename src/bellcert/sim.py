@@ -60,14 +60,6 @@ class ExperimentResult:
     analyses: dict = field(default_factory=dict)
     rates: dict = field(default_factory=dict)
 
-    def neg_log2_pvalue(self, protocol: str) -> float:
-        return self.analyses[protocol].neg_log2_pvalue
-
-    def learning_offset(self, protocol: str) -> float:
-        """Gap between the asymptote n * rate and the achieved -log2 p at the final n."""
-        a = self.analyses[protocol]
-        return a.n * self.rates[protocol] - self.neg_log2_pvalue(protocol)
-
 
 def run_experiment(plan: SimulationPlan, out_dir: str | Path | None = None, per_block: bool = False) -> ExperimentResult:
     """Sample one sequence and feed it to every requested protocol.
@@ -124,23 +116,17 @@ def write_report(path: str | Path, analysis, header_lines: Sequence[str] = (), p
             fh.write("%d,%.12g,%.12g\r\n" * rows.shape[0] % tuple(rows.ravel().tolist()))
 
 
-def write_reports(result: ExperimentResult, out_dir: str | Path, per_block: bool = False) -> dict[str, Path]:
-    """Write one report per protocol plus the asymptote table; returns the paths."""
+def write_reports(result: ExperimentResult, out_dir: str | Path, per_block: bool = False) -> None:
+    """Write one report per protocol plus the asymptote table."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, Path] = {}
     for protocol, analysis in result.analyses.items():
-        path = out / f"report_{protocol}.csv"
         header = _report_header(result.plan, protocol, result.rates[protocol])
-        write_report(path, analysis, header, per_block=per_block, block_size=result.plan.block_size)
-        paths[protocol] = path
-    asym = out / "asymptotes.csv"
-    rows = [(p, f"{result.rates[p]:.12g}", a.n, f"{result.neg_log2_pvalue(p):.12g}") for p, a in result.analyses.items()]
-    with open(asym, "w", encoding="utf-8", newline="") as fh:
+        write_report(out / f"report_{protocol}.csv", analysis, header, per_block, result.plan.block_size)
+    rows = [(p, f"{result.rates[p]:.12g}", a.n, f"{a.neg_log2_pvalue:.12g}") for p, a in result.analyses.items()]
+    with open(out / "asymptotes.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# generator={GENERATOR_ID} seed={result.plan.seed}\n")
         fh.write(_csv_text([("protocol", "gain_rate_bits_per_trial", "final_n", "final_neg_log2_p")] + rows))
-    paths["asymptotes"] = asym
-    return paths
 
 
 def run_seed_sweep(plan: SimulationPlan, seeds: Sequence[int], out_dir: str | Path | None = None) -> list[ExperimentResult]:
@@ -149,7 +135,7 @@ def run_seed_sweep(plan: SimulationPlan, seeds: Sequence[int], out_dir: str | Pa
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        rows = [[r.plan.seed] + [f"{r.neg_log2_pvalue(p):.12g}" for p in plan.protocols] for r in results]
+        rows = [[r.plan.seed] + [f"{r.analyses[p].neg_log2_pvalue:.12g}" for p in plan.protocols] for r in results]
         with open(out / "seed_summary.csv", "w", encoding="utf-8", newline="") as fh:
             fh.write(f"# generator={GENERATOR_ID}\n")
             fh.write(_csv_text([["seed"] + [f"neg_log2_p_{p}" for p in plan.protocols]] + rows))
@@ -174,6 +160,8 @@ def validity_exceedance(
     For data from any LR model every protocol must keep this at or below
     alpha (up to Monte Carlo noise).
     """
+    if n_seeds < 1 or n_trials < 1:
+        raise ValueError(f"need n_seeds >= 1 and n_trials >= 1, got {n_seeds} and {n_trials}")
     functions = build_function_set(default_function_names(q_lr.scenario), q_lr.scenario)
     counts = {p: {float(a): 0 for a in alphas} for p in PROTOCOLS}
     for i in range(n_seeds):

@@ -404,11 +404,17 @@ def test_empty_name_lists_and_missing_defaults_name_the_option(tmp_path, capsys,
     # an empty --functions or --protocol is an error, not the default set
     path, _ = trial_file
     for option in ("--functions", "--protocol"):
-        for text in ("", ","):
+        for text in ("", ",", " ", " , "):
             assert main(["analyze", str(path), "--scenario", "2,2,2", option, text]) == 2
             assert f"{option} {text!r} names nothing" in capsys.readouterr().err
             assert main(["simulate", "--config", "chsh:0.785398", "--trials", "20", option, text]) == 2
             assert f"{option} {text!r} names nothing" in capsys.readouterr().err
+    # blank entries are dropped after stripping, wherever they sit
+    argv = ["simulate", "--config", "chsh:0.785398", "--trials", "60", "--block", "20", "--protocol"]
+    assert main(argv + ["mart,spbr"]) == 0
+    plain = capsys.readouterr()
+    assert main(argv + ["mart, ,spbr"]) == 0
+    assert capsys.readouterr() == plain
     # a scenario without a default functional asks for --functions
     sc = Scenario(2, 3, 2)
     other = tmp_path / "s3.jsonl"

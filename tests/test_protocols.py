@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -33,7 +34,7 @@ from bellcert import (
     uniform_outcome_distribution,
 )
 from bellcert import protocols
-from bellcert.protocols import BlockAnalysis, get_protocol
+from bellcert.protocols import PROTOCOLS, BlockAnalysis, select_protocols
 from oracles import run_full_pbr_reference
 
 
@@ -134,14 +135,15 @@ def test_spbr_single_block_is_trivial(chsh_scenario, chsh_q):
 
 def test_spbr_zero_r_data_keeps_trivial_weights(chsh_scenario):
     # every trial sits at r = 0, so any non-trivial weight would lose: the
-    # refit returns the trivial weighting and the p-value stays 1
+    # refit returns the trivial weighting and the p-value stays 1.  A trial
+    # scores log2 of the trivial weight, so every running total is exactly 0
+    # iff every refit keeps weight exactly 1 on the trivial function.
     functions = build_function_set(["chsh"], chsh_scenario)
     x = TrialResult((2, 2), (0, 0))  # I = -4, r = 0
     analysis = run_simplified_pbr(encode_trials(chsh_scenario, [x] * 60), functions, block_size=10)
     assert analysis.log2_t == 0.0
     assert analysis.pvalue == 1.0
-    for _, w in analysis.block_weights:
-        assert w[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.all(analysis.history()[:, 1] == 0.0)
 
 
 def test_spbr_requires_trivial_first(chsh_scenario):
@@ -165,6 +167,18 @@ def test_functions_must_share_one_scenario(trivial_scenario, function_scenario):
         gain_spbr(uniform_outcome_distribution(trivial_scenario), functions)
 
 
+def _record_predictions(analysis) -> list:
+    """Make ``analysis`` record the (counts, n) rows its predictor is handed; returns the record."""
+    rows, predict = [], analysis._predict
+
+    def recording(counts, n):
+        rows.extend(zip(counts.tolist(), n.tolist()))
+        return predict(counts, n)
+
+    analysis._predict = recording
+    return rows
+
+
 def test_spbr_prediction_property(chsh_scenario, chsh_q):
     # permuting trials inside a block changes nothing the protocol can see
     functions = build_function_set(["chsh"], chsh_scenario)
@@ -175,13 +189,36 @@ def test_spbr_prediction_property(chsh_scenario, chsh_q):
     for start in range(0, 600, block):
         seg = permuted[start : start + block]
         rng.shuffle(seg)
-    base = run_simplified_pbr(enc, functions, block_size=block)
-    perm = run_simplified_pbr(permuted, functions, block_size=block)
-    assert len(base.block_weights) == len(perm.block_weights) == 6
-    for (n0, w0), (n1, w1) in zip(base.block_weights, perm.block_weights):
-        assert n0 == n1
-        assert np.allclose(w0, w1, atol=1e-12)
-    assert base.log2_t == pytest.approx(perm.log2_t, rel=1e-9)
+    base, perm = SimplifiedPbrAnalysis(functions, block), SimplifiedPbrAnalysis(functions, block)
+    base_rows, perm_rows = _record_predictions(base), _record_predictions(perm)
+    base.extend(enc)
+    perm.extend(permuted)
+    assert base_rows == perm_rows and [n for _, n in base_rows] == [100, 200, 300, 400, 500]
+    ends = np.arange(block, 601, block) - 1
+    assert np.allclose(base.history()[ends], perm.history()[ends], rtol=1e-12, atol=0)
+    assert base.log2_t == pytest.approx(perm.log2_t, rel=1e-12)
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else repr(a) == repr(b)
+
+
+@pytest.mark.parametrize("protocol", ["spbr", "fpbr"])
+def test_predictors_are_pure(chsh_q, protocol):
+    # a block's table is a function of the prefix counts alone: asking twice gives the same
+    # tables and leaves the analysis (n, total, counts, table, flags, _totals, ...) as it was
+    enc = sample_encoded(chsh_q, 300, seed=2)
+    analysis = _run_named(protocol, enc, chsh_q.scenario, 40)
+    counts, n = np.vstack((np.bincount(enc[:120], minlength=16), analysis.counts)), np.array([120, 300])
+    state = copy.deepcopy(vars(analysis))
+    first, second = analysis._predict(counts, n), analysis._predict(counts, n)
+    assert first[0].shape == (2, 16) and first[1].shape == (2,)
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
+    assert vars(analysis).keys() == state.keys()
+    for name, value in state.items():
+        assert _same(getattr(analysis, name), value), name
 
 
 def test_spbr_prefix_is_valid_certificate(chsh_scenario, chsh_q):
@@ -249,7 +286,14 @@ def test_fpbr_validation(chsh_scenario):
 def _run_named(protocol, trials, scenario, block_size=154):
     d = scenario.outcomes_per_setting
     functions = build_function_set(["chsh" if d == 2 else f"cglmp:{d}"], scenario)
-    return get_protocol(protocol).run(trials, functions, block_size, OptimizerControls(), 1e-9)
+    return PROTOCOLS[protocol].run(trials, functions, block_size, OptimizerControls(), 1e-9)
+
+
+def test_select_protocols_names_the_first_unknown_entry():
+    # in list order, whatever order a set of the names would iterate in
+    for names, first in ((["mart", "zz", "aa"], "zz"), (["aa", "spbr", "zz"], "aa")):
+        with pytest.raises(ValueError, match=rf"^unknown protocol '{first}' \(expected one of \('mart', 'spbr', 'fpbr'\)\)$"):
+            select_protocols(names, 10)
 
 
 @pytest.mark.parametrize("protocol", ["mart", "spbr", "fpbr"])
@@ -319,7 +363,7 @@ def test_fpbr_pass_bounds_the_projection_rows(monkeypatch):
     monkeypatch.setattr(protocols, "_project_rows", lambda freq, *rest: rows.append(len(freq)) or project(freq, *rest))
     monkeypatch.setattr(protocols, "PASS_ENTRIES", 64 * 5)
     analysis = FullPbrAnalysis(scenario, 2, OptimizerControls(max_iterations=20))
-    assert analysis._pass_blocks == 5 < BlockAnalysis(scenario, 2, analysis.table)._pass_blocks == 8
+    assert analysis._pass_blocks == 5 < BlockAnalysis(2, analysis.table)._pass_blocks == 8
     analysis.extend(sample_encoded(uniform_outcome_distribution(scenario), 40, seed=1))
     assert rows == [4, 5, 5, 5] and len(analysis.history()) == 40
 

@@ -93,8 +93,9 @@ def test_run_experiment_rates_match_gain_modules(cglmp3_q):
     result = run_experiment(plan)
     assert result.rates["mart"] == pytest.approx(0.0565, abs=5e-4)
     assert result.rates["spbr"] == pytest.approx(0.0675, abs=5e-4)
-    offset = result.learning_offset("spbr")
-    assert math.isfinite(offset)
+    # the learning offset: the asymptote n * rate less the achieved -log2 p at the final n
+    spbr = result.analyses["spbr"]
+    assert math.isfinite(spbr.n * result.rates["spbr"] - spbr.neg_log2_pvalue)
 
 
 def test_seed_sweep_summary(tmp_path, cglmp3_q):
@@ -112,6 +113,13 @@ def test_validity_exceedance_smoke(chsh_scenario):
     for protocol, table in rates.items():
         for alpha, rate in table.items():
             assert 0.0 <= rate <= alpha + 3.0 * math.sqrt(alpha / 40.0) + 1e-12, protocol
+
+
+@pytest.mark.parametrize("n_seeds,n_trials", [(0, 30), (-1, 30), (40, 0)])
+def test_validity_exceedance_refuses_empty_studies(chsh_scenario, n_seeds, n_trials):
+    # no rate over zero runs, and none over runs of zero trials
+    with pytest.raises(ValueError, match="n_seeds >= 1 and n_trials >= 1"):
+        validity_exceedance(uniform_outcome_distribution(chsh_scenario), n_seeds, n_trials, alphas=[0.1])
 
 
 class _History:
