@@ -13,10 +13,10 @@ from pathlib import Path
 
 from . import gainrates, quantum, sim
 from .errors import BellcertError, ScenarioMismatchError, TrialFormatError
-from .functionals import build_function_set, catalog_names, default_function_names
+from .functionals import build_function_set, catalog_names
 from .optim import DEFAULT_CONTROLS, OptimizerControls
 from .protocols import DEFAULT_BLOCK, DEFAULT_FLOOR, select_protocols
-from .scenario import Scenario, read_distribution, read_trials, write_distribution
+from .scenario import Scenario, _distribution_json, read_distribution, read_trials, write_distribution
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -61,10 +61,10 @@ def _source_distribution(args):
     return quantum.named_distribution(family, value)
 
 
-def _print_flags(analyses: dict) -> None:
+def _print_flags(analyses: dict, prefix: str) -> None:
     for name, analysis in analyses.items():
         for flag in analysis.flags:
-            print(f"warning: {name}: {flag}", file=sys.stderr)
+            print(f"warning: {prefix}{name}: {flag}", file=sys.stderr)
 
 
 def cmd_analyze(args) -> int:
@@ -72,7 +72,7 @@ def cmd_analyze(args) -> int:
     encoded = read_trials(args.trials_file, scenario)
     if encoded.size == 0:
         raise ScenarioMismatchError(f"{args.trials_file}: no trial records")
-    functions = build_function_set(_names(args.functions, "--functions") or default_function_names(scenario), scenario)
+    functions = build_function_set(_names(args.functions, "--functions"), scenario)
     protocols = select_protocols(_names(args.protocol, "--protocol"), args.block)
     controls = _controls(args)
     analyses = {
@@ -88,7 +88,7 @@ def cmd_analyze(args) -> int:
             Path(args.out).mkdir(parents=True, exist_ok=True)
             sim.write_report(path, analysis, per_block=args.per_block, block_size=args.block)
             print(f"wrote {path}")
-    _print_flags(analyses)
+    _print_flags(analyses, "")
     return EXIT_OK
 
 
@@ -113,6 +113,8 @@ def cmd_simulate(args) -> int:
         for res in results:
             finals = " ".join(f"{p}={res.analyses[p].neg_log2_pvalue:.6g}" for p in plan.protocols)
             print(f"seed={res.plan.seed} neg_log2_p: {finals}")
+        for res in results:
+            _print_flags(res.analyses, f"seed={res.plan.seed} ")
     else:
         res = sim.run_experiment(plan, out_dir=args.out, per_block=args.per_block)
         for protocol in plan.protocols:
@@ -122,7 +124,7 @@ def cmd_simulate(args) -> int:
                 f" p_value={res.analyses[protocol].pvalue:.10g}"
                 f" rate={res.rates[protocol]:.10g}"
             )
-        _print_flags(res.analyses)
+        _print_flags(res.analyses, "")
     return EXIT_OK
 
 
@@ -155,7 +157,7 @@ def cmd_quantum(args) -> int:
         write_distribution(args.out, dist)
         print(f"wrote {args.out}")
     else:
-        json.dump({"probs": [float(v) for v in dist.probs]}, sys.stdout)
+        json.dump(_distribution_json(dist), sys.stdout)
         print()
     return EXIT_OK
 
@@ -173,6 +175,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     flags = [a.partition("=")[0] for a in argv]
     if "--config-file" not in flags:
         return argv
+    if flags.count("--config-file") > 1:
+        raise ValueError("--config-file may be given only once")
     i = flags.index("--config-file")
     if argv[i] != "--config-file":  # the --config-file=PATH form
         argv = argv[:i] + ["--config-file", argv[i].partition("=")[2]] + argv[i + 1 :]

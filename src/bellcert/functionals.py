@@ -8,7 +8,7 @@ non-negative with LR expectation at most 1.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -91,59 +91,39 @@ def _two_by_two(scenario: Scenario) -> bool:
     return scenario.parties == 2 and scenario.settings_per_party == 2 and scenario.is_uniform()
 
 
-def _require_bipartite_two_settings(scenario: Scenario, what: str, d: int | None = None) -> None:
-    if not (_two_by_two(scenario) and (d is None or scenario.outcomes_per_setting == d)):
-        want = f"(2, 2, {d if d is not None else 'd'})"
-        raise ValueError(f"{what} requires a {want} scenario with uniform settings")
-
-
 def chsh_functional(scenario: Scenario) -> Functional:
     """Per-trial CHSH combination, scaled for uniform settings: bound 2, range [-4, 4].
 
-    Outcome index 0 maps to the measurement value +1 and index 1 to -1; the
-    setting pair (2, 2) carries the negative sign.
+    The d = 2 member of :func:`cglmp_functional`.  Outcome index 0 maps to the
+    measurement value +1 and index 1 to -1; the setting pair (2, 2) carries
+    the negative sign.
     """
-    _require_bipartite_two_settings(scenario, "chsh_functional", d=2)
-    return functional_from_table(scenario, _cglmp_table(2).reshape(-1), 2.0, "chsh")
+    if not (_two_by_two(scenario) and scenario.outcomes_per_setting == 2):
+        raise ValueError("chsh_functional requires a (2, 2, 2) scenario with uniform settings")
+    return replace(cglmp_functional(scenario), name="chsh")
 
 
 def _cglmp_table(d: int) -> np.ndarray:
     # Per-trial form of the d-outcome two-setting inequality with bound 2.
-    # Probability terms become indicators on the outcome difference mod d; the
-    # factor 4 undoes the uniform joint-setting probability.  Party B's two
-    # settings are labeled so that d = 2 coincides pointwise with the CHSH
-    # functional (negative sign on the setting pair (2, 2)).
+    # Probability terms become indicators on the outcome difference a - b mod d;
+    # the factor 4 undoes the uniform joint-setting probability.  Each setting
+    # pair (x, y) scores +coef where the difference is `plus` and -coef where it
+    # is `minus`.  Party B's two settings are labeled so that d = 2 coincides
+    # pointwise with the CHSH functional (negative sign on the setting pair (2, 2)).
+    delta = np.subtract.outer(np.arange(d), np.arange(d)) % d
     t = np.zeros((2, 2, d, d))
     for k in range(d // 2):
-        coef = 1.0 - 2.0 * k / (d - 1)
-        for a in range(d):
-            for b in range(d):
-                plus_ab = (a - b) % d == k
-                minus_ab = (a - b) % d == (-(k + 1)) % d
-                if plus_ab:
-                    t[0, 0, a, b] += 4 * coef
-                    t[1, 1, a, b] += 4 * coef
-                if minus_ab:
-                    t[0, 0, a, b] -= 4 * coef
-                    t[1, 1, a, b] -= 4 * coef
-                if (b - a) % d == (k + 1) % d:
-                    t[1, 0, a, b] += 4 * coef
-                if (b - a) % d == (-k) % d:
-                    t[1, 0, a, b] -= 4 * coef
-                if (b - a) % d == k:
-                    t[0, 1, a, b] += 4 * coef
-                if (b - a) % d == (-(k + 1)) % d:
-                    t[0, 1, a, b] -= 4 * coef
-    # swap party B's setting labels (see docstring note on the d = 2 alignment)
-    return t[:, ::-1].copy()
+        coef = 4 * (1.0 - 2.0 * k / (d - 1))
+        for x, y, plus, minus in ((0, 1, k, -k - 1), (1, 0, k, -k - 1), (1, 1, -k - 1, k), (0, 0, -k, k + 1)):
+            t[x, y] += coef * (delta == plus % d) - coef * (delta == minus % d)
+    return t
 
 
 def cglmp_functional(scenario: Scenario) -> Functional:
     """d-outcome generalization of the CHSH combination (d from the scenario), LR bound 2, d distinct values."""
     d = scenario.outcomes_per_setting
-    if d < 2:
-        raise ValueError("cglmp_functional requires d >= 2")
-    _require_bipartite_two_settings(scenario, "cglmp_functional")
+    if not (_two_by_two(scenario) and d >= 2):
+        raise ValueError("cglmp_functional requires a (2, 2, d) scenario with d >= 2 and uniform settings")
     return functional_from_table(scenario, _cglmp_table(d).reshape(-1), 2.0, f"cglmp:{d}")
 
 
@@ -162,22 +142,18 @@ def no_signaling_functionals(scenario: Scenario) -> list[Functional]:
     s, d = scenario.settings_per_party, scenario.outcomes_per_setting
     pi = scenario.setting_distribution.reshape(s, s)
     out: list[Functional] = []
-    party_label = ("A", "B")
-    for party in range(2):
+    # each witness is built on the axes (this party's setting, the other's, then the outcomes)
+    for label, p, axes in (("A", pi, (0, 1, 2, 3)), ("B", pi.T, (1, 0, 3, 2))):
         for u in range(s):
             for v in range(d):
                 for w1 in range(s):
                     for w2 in range(w1 + 1, s):
                         base = np.zeros((s, s, d, d))
-                        if party == 0:
-                            base[u, w1, v, :] += 1.0 / pi[u, w1]
-                            base[u, w2, v, :] -= 1.0 / pi[u, w2]
-                        else:
-                            base[w1, u, :, v] += 1.0 / pi[w1, u]
-                            base[w2, u, :, v] -= 1.0 / pi[w2, u]
+                        base[u, w1, v, :] += 1.0 / p[u, w1]
+                        base[u, w2, v, :] -= 1.0 / p[u, w2]
                         for sign, tag in ((1.0, "+"), (-1.0, "-")):
-                            name = f"ns:{party_label[party]}{u + 1}:o{v}:{w1 + 1}v{w2 + 1}:{tag}"
-                            out.append(functional_from_table(scenario, (sign * base).reshape(-1), 0.0, name))
+                            name = f"ns:{label}{u + 1}:o{v}:{w1 + 1}v{w2 + 1}:{tag}"
+                            out.append(functional_from_table(scenario, (sign * base.transpose(axes)).reshape(-1), 0.0, name))
     return out
 
 
@@ -268,9 +244,12 @@ def resolve_catalog_name(name: str, scenario: Scenario) -> list[Functional]:
 
 
 def build_function_set(names: Sequence[str], scenario: Scenario) -> list[StandardizedFunctional]:
-    """Standardized function set for the weighted protocols; the trivial function always leads."""
+    """Standardized function set for the weighted protocols; the trivial function always leads.
+
+    Empty ``names`` means the scenario's default set, :func:`default_function_names`.
+    """
     functions = [trivial_standardized(scenario)]
-    for name in names:
+    for name in names or default_function_names(scenario):
         for f in resolve_catalog_name(name, scenario):
             functions.append(standardize(f))
     return functions

@@ -124,16 +124,17 @@ def _encoded(trials, k: int) -> np.ndarray:
     return enc.astype(np.int64, copy=False)
 
 
+def _place_values(scenario: Scenario) -> tuple[list[int], list[int]]:
+    """Place value of each party's setting digit and of each party's outcome digit in the result code."""
+    l, s, d = scenario.parties, scenario.settings_per_party, scenario.outcomes_per_setting
+    return [s ** (l - 1 - p) * d**l for p in range(l)], [d ** (l - 1 - p) for p in range(l)]
+
+
 def encode_result(scenario: Scenario, x: TrialResult) -> int:
     """Bijective mixed-radix index of a trial result (settings digits first)."""
     x.validate_for(scenario)
-    s, d = scenario.settings_per_party, scenario.outcomes_per_setting
-    idx = 0
-    for u in x.settings:
-        idx = idx * s + (u - 1)
-    for a in x.outcomes:
-        idx = idx * d + a
-    return idx
+    settings, outcomes = _place_values(scenario)
+    return sum((u - 1) * w for u, w in zip(x.settings, settings)) + sum(a * w for a, w in zip(x.outcomes, outcomes))
 
 
 def decode_result(scenario: Scenario, index: int) -> TrialResult:
@@ -141,18 +142,9 @@ def decode_result(scenario: Scenario, index: int) -> TrialResult:
     k = result_space_size(scenario)
     if not 0 <= index < k:
         raise ValueError(f"index {index} outside 0..{k - 1}")
-    l, s, d = scenario.parties, scenario.settings_per_party, scenario.outcomes_per_setting
-    digits = []
-    rem = int(index)
-    for _ in range(l):
-        rem, a = divmod(rem, d)
-        digits.append(a)
-    outcomes = tuple(reversed(digits))
-    digits = []
-    for _ in range(l):
-        rem, u = divmod(rem, s)
-        digits.append(u + 1)
-    return TrialResult(tuple(reversed(digits)), outcomes)
+    settings, outcomes = _place_values(scenario)
+    s, d, index = scenario.settings_per_party, scenario.outcomes_per_setting, int(index)
+    return TrialResult(tuple(index // w % s + 1 for w in settings), tuple(index // w % d for w in outcomes))
 
 
 def encode_trials(scenario: Scenario, trials: Iterable[TrialResult]) -> np.ndarray:
@@ -317,10 +309,15 @@ def read_distribution(path: str | Path) -> Distribution:
     return Distribution(scenario, probs, empirical=empirical)
 
 
-def write_distribution(path: str | Path, dist: Distribution) -> None:
+def _distribution_json(dist: Distribution) -> dict:
+    """The JSON object of a distribution file, as :func:`read_distribution` reads it."""
     obj = {"scenario": scenario_to_json(dist.scenario), "probs": [float(v) for v in dist.probs]}
     if dist.empirical:
         obj["empirical"] = True
+    return obj
+
+
+def write_distribution(path: str | Path, dist: Distribution) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
+        json.dump(_distribution_json(dist), fh)
         fh.write("\n")

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .functionals import build_function_set, default_function_names
+from .functionals import build_function_set
 from .optim import DEFAULT_CONTROLS, OptimizerControls
 from .protocols import DEFAULT_BLOCK, DEFAULT_FLOOR, PROTOCOLS, select_protocols
 from .scenario import Distribution
@@ -68,8 +68,7 @@ def run_experiment(plan: SimulationPlan, out_dir: str | Path | None = None, per_
     ``out_dir`` when given.  Identical plans produce byte-identical reports.
     """
     q = plan.source
-    names = plan.function_names or default_function_names(q.scenario)
-    functions = build_function_set(names, q.scenario)
+    functions = build_function_set(plan.function_names, q.scenario)
     encoded = sample_encoded(q, plan.n_trials, plan.seed)
     result = ExperimentResult(plan=plan)
     for name in plan.protocols:
@@ -162,7 +161,7 @@ def validity_exceedance(
     """
     if n_seeds < 1 or n_trials < 1:
         raise ValueError(f"need n_seeds >= 1 and n_trials >= 1, got {n_seeds} and {n_trials}")
-    functions = build_function_set(default_function_names(q_lr.scenario), q_lr.scenario)
+    functions = build_function_set((), q_lr.scenario)
     counts = {p: {float(a): 0 for a in alphas} for p in PROTOCOLS}
     for i in range(n_seeds):
         encoded = sample_encoded(q_lr, n_trials, base_seed + i)

@@ -91,6 +91,21 @@ def test_simulate_multi_seed(tmp_path, capsys):
     assert out.count("seed=") == 3
 
 
+def test_seed_sweep_prints_each_seeds_warnings(capsys):
+    # a sweep whose p-values are pinned to 1 says why: each seed's warnings, after the summary lines
+    argv = ["simulate", "--config", "chsh:0.6", "--trials", "500", "--protocol", "fpbr", "--floor", "0",
+            "--block", "9", "--max-iter", "50"]
+    assert main(argv) == 0
+    single = capsys.readouterr().err.splitlines()
+    assert len(single) == 30 and all(line.startswith("warning: fpbr: ") for line in single)
+    assert main(argv + ["--seeds", "2"]) == 0
+    swept = capsys.readouterr().err.splitlines()
+    seed0 = [line for line in swept if line.startswith("warning: seed=0 ")]
+    assert seed0 == [line.replace("warning: ", "warning: seed=0 ", 1) for line in single]
+    assert swept[: len(seed0)] == seed0
+    assert all(line.startswith("warning: seed=1 fpbr: ") for line in swept[len(seed0) :])
+
+
 @pytest.mark.parametrize("seeds", ["0", "-3"])
 def test_simulate_refuses_fewer_than_one_seed(tmp_path, capsys, seeds):
     argv = ["simulate", "--config", "chsh:0.785398", "--trials", "300", "--seeds", seeds, "--out", str(tmp_path)]
@@ -135,6 +150,16 @@ def test_quantum_emits_normalized_distribution(tmp_path):
     dist = read_distribution(out)
     assert dist.probs.sum() == pytest.approx(1.0, abs=1e-10)
     assert dist.scenario.outcomes_per_setting == 2
+
+
+def test_quantum_stdout_is_a_distribution_file(tmp_path, capsys, chsh_q):
+    assert main(["quantum", "--config", "chsh:0.7853981633974483"]) == 0
+    out = tmp_path / "dist.json"
+    out.write_text(capsys.readouterr().out)
+    dist = read_distribution(out)
+    assert (dist.scenario.parties, dist.scenario.settings_per_party, dist.scenario.outcomes_per_setting) == (2, 2, 2)
+    assert dist.scenario.is_uniform() and not dist.empirical
+    assert np.array_equal(dist.probs, chsh_q.probs)
 
 
 def test_quantum_bad_config():
@@ -206,6 +231,17 @@ def test_config_file_without_value_is_a_usage_error(trial_file, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "--config-file" in err
+
+
+@pytest.mark.parametrize("second", [["--config-file", "b.json"], ["--config-file=b.json"]])
+def test_a_second_config_file_is_a_usage_error(tmp_path, capsys, monkeypatch, second):
+    monkeypatch.chdir(tmp_path)
+    for name, trials in (("a.json", 20), ("b.json", 30)):
+        (tmp_path / name).write_text(json.dumps({"trials": trials}))
+    argv = ["simulate", "--config", "chsh:0.7", "--protocol", "mart", "--config-file", "a.json", *second]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "--config-file may be given only once" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("equals_form", [False, True])

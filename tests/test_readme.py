@@ -1,10 +1,11 @@
 """README's quick starts run as written, so they cannot name a removed or renamed function or flag."""
+import argparse
 import re
 import shlex
 from pathlib import Path
 
 from bellcert import Scenario, born_distribution, chsh_config, sample_encoded, write_trials
-from bellcert.cli import main
+from bellcert.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -30,3 +31,16 @@ def test_cli_quick_start_runs(tmp_path, monkeypatch, capsys):
     write_trials("data.jsonl", Scenario(2, 2, 2), sample_encoded(q, 2000, seed=3))
     for argv in commands:
         assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
+
+
+def test_flag_table_lists_every_registered_option():
+    # the table under "Each command takes only the flags it reads" names exactly each command's --options
+    section = README.read_text(encoding="utf-8").split("Each command takes only the flags it reads:", 1)[1]
+    rows = re.findall(r"^\| `(\w+)[^|]*\|(.*)\|$", section.split("\n\n", 2)[1], re.MULTILINE)
+    table = {command: set(re.findall(r"`(--[a-z-]+)", cells)) for command, cells in rows}
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    registered = {
+        name: {o for action in p._actions for o in action.option_strings if o.startswith("--")} - {"--help"}
+        for name, p in commands.items()
+    }
+    assert table == registered

@@ -6,6 +6,9 @@ import pytest
 from bellcert import (
     GENERATOR_ID,
     SimulationPlan,
+    born_distribution,
+    build_function_set,
+    chsh_config,
     chsh_functional,
     expectation,
     run_experiment,
@@ -14,7 +17,8 @@ from bellcert import (
     uniform_outcome_distribution,
     validity_exceedance,
 )
-from bellcert.sim import REPORT_CHUNK, write_report
+from bellcert.protocols import DEFAULT_FLOOR, PROTOCOLS
+from bellcert.sim import REPORT_CHUNK, VALIDITY_CONTROLS, write_report
 
 from oracles import write_report_reference
 
@@ -113,6 +117,21 @@ def test_validity_exceedance_smoke(chsh_scenario):
     for protocol, table in rates.items():
         for alpha, rate in table.items():
             assert 0.0 <= rate <= alpha + 3.0 * math.sqrt(alpha / 40.0) + 1e-12, protocol
+
+
+def test_validity_exceedance_counts_rejections():
+    # on non-LR data the harness must count rejections, not only stay under its bounds
+    q = born_distribution(*chsh_config(np.pi / 4))
+    alphas = (0.5, 0.1)
+    rates = validity_exceedance(q, n_seeds=20, n_trials=200, alphas=alphas, block_size=10, base_seed=0)
+    functions = build_function_set((), q.scenario)
+    for protocol, entry in PROTOCOLS.items():
+        finals = [
+            entry.run(sample_encoded(q, 200, i), functions, 10, VALIDITY_CONTROLS, DEFAULT_FLOOR).pvalue
+            for i in range(20)
+        ]
+        assert rates[protocol] == {a: sum(p <= a for p in finals) / 20 for a in alphas}, protocol
+    assert rates["mart"][0.5] >= 0.9
 
 
 @pytest.mark.parametrize("n_seeds,n_trials", [(0, 30), (-1, 30), (40, 0)])
