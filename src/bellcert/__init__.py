@@ -18,7 +18,6 @@ from .errors import (
 from .functionals import (
     Functional,
     StandardizedFunctional,
-    bounds_by_enumeration,
     build_function_set,
     catalog_names,
     chsh_functional,

@@ -1,14 +1,15 @@
 """Bell and witness functionals: standardization, exact bounds, and the built-in catalog.
 
-A functional is a per-trial real-valued function I together with its null
-(local-realistic) expectation bound ``<I> <= B`` and its pointwise range
-``[inf_b, sup_a]``.  Standardization maps it to r = (I - b)/(B - b), which is
-non-negative with LR expectation at most 1.
+A functional is a per-trial real-valued function I, tabulated on the result
+encoding, with its null (local-realistic) expectation bound ``<I> <= B``; its
+pointwise range ``[inf_b, sup_a]`` is read off the table.  Standardization
+maps it to r = (I - b)/(B - b), non-negative with LR expectation at most 1.
 """
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -20,47 +21,66 @@ from .scenario import Distribution, Scenario, _check_same_scenario, _dense_size,
 from .scenario import _json_numbers, scenario_from_json
 
 
-def _frozen_table(scenario: Scenario, table: np.ndarray) -> np.ndarray:
-    t = _frozen(table)
-    k = result_space_size(scenario)
-    if t.shape != (k,):
-        raise ValueError(f"value table must have length {k}")
+def _freeze_table(f: Functional | StandardizedFunctional) -> np.ndarray:
+    """Replace ``f.table`` by a read-only copy, refused unless it holds K finite values; returns the copy."""
+    t = _frozen(f.table)
+    k = result_space_size(f.scenario)
+    if t.shape != (k,) or not np.all(np.isfinite(t)):
+        raise ValueError(f"value table must hold {k} finite numbers")
+    object.__setattr__(f, "table", t)
     return t
+
+
+def _lr_maximum_above(scenario: Scenario, table: np.ndarray, bound: float) -> float | None:
+    """The table's LR maximum where it exceeds ``bound`` beyond 1e-9 of its largest |value|; else (or unenumerable) None."""
+    if strategy_count(scenario) > STRATEGY_CAP:
+        return None
+    top = float(vertex_expectations(scenario, table).max())
+    return top if bound < top - 1e-9 * float(np.abs(table).max()) else None
 
 
 @dataclass(frozen=True, eq=False)
 class Functional:
-    """A per-trial function with declared LR bound B and pointwise range [inf_b, sup_a].
+    """A per-trial function with declared LR bound B; its range [inf_b, sup_a] is the table's.
 
     ``table`` holds the K values ordered by the result encoding, so evaluating
-    a trial is one lookup at its encoded index.
+    a trial is one lookup at its encoded index.  :func:`functional_from_table`
+    checks a caller's bound against the vertices; this class takes it as given.
     """
 
     name: str
     scenario: Scenario
     bound_B: float
-    inf_b: float
-    sup_a: float
     table: np.ndarray
+    inf_b: float = field(init=False)
+    sup_a: float = field(init=False)
 
     def __post_init__(self):
-        if not self.inf_b <= self.sup_a:
-            raise ValueError("inf_b must not exceed sup_a")
-        object.__setattr__(self, "table", _frozen_table(self.scenario, self.table))
+        t = _freeze_table(self)
+        object.__setattr__(self, "inf_b", float(t.min()))
+        object.__setattr__(self, "sup_a", float(t.max()))
 
 
 @dataclass(frozen=True, eq=False)
 class StandardizedFunctional:
-    """The r-form of a functional: non-negative, LR expectation at most 1, tabulated like its source."""
+    """The r-form of a functional: non-negative, LR expectation at most 1, tabulated like its source.
+
+    The all-ones table is the trivial function.  Any other table without a
+    ``source`` must be non-negative with LR maximum at most 1 where enumerable.
+    """
 
     name: str
     scenario: Scenario
     table: np.ndarray
     source: Functional | None = None
-    is_trivial: bool = False
+    is_trivial: bool = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "table", _frozen_table(self.scenario, self.table))
+        t = _freeze_table(self)
+        object.__setattr__(self, "is_trivial", bool(np.all(t == 1.0)))
+        if self.source is None and not self.is_trivial:
+            if np.any(t < 0.0) or _lr_maximum_above(self.scenario, t, 1.0) is not None:
+                raise StandardizationError(f"weighted function {self.name!r} needs values >= 0 and LR maximum <= 1")
 
 
 def standardize(f: Functional) -> StandardizedFunctional:
@@ -73,13 +93,16 @@ def standardize(f: Functional) -> StandardizedFunctional:
 
 def trivial_standardized(scenario: Scenario) -> StandardizedFunctional:
     """The constant function r = 1, always a valid (uninformative) weighting target."""
-    k = _dense_size(scenario)
-    return StandardizedFunctional(name="trivial", scenario=scenario, table=np.ones(k), is_trivial=True)
+    return StandardizedFunctional(name="trivial", scenario=scenario, table=np.ones(_dense_size(scenario)))
 
 
-def bounds_by_enumeration(f: Functional) -> tuple[float, float]:
-    """Exact (inf, sup) of the functional over the whole result space."""
-    return float(f.table.min()), float(f.table.max())
+def _function_columns(functions: Sequence[StandardizedFunctional], scenario: Scenario | None = None) -> np.ndarray:
+    """(K, F) columns of a weighted function set: trivial first, all on ``scenario`` (default: the first's)."""
+    if not functions or not functions[0].is_trivial:
+        raise ValueError("functions must start with the trivial function")
+    for f in functions:
+        _check_same_scenario(f.scenario, scenario or functions[0].scenario, f"function {f.name!r}")
+    return np.column_stack([f.table for f in functions])
 
 
 def expectation(f: Functional | StandardizedFunctional, dist: Distribution) -> float:
@@ -124,7 +147,7 @@ def cglmp_functional(scenario: Scenario) -> Functional:
     d = scenario.outcomes_per_setting
     if not (_two_by_two(scenario) and d >= 2):
         raise ValueError("cglmp_functional requires a (2, 2, d) scenario with d >= 2 and uniform settings")
-    return functional_from_table(scenario, _cglmp_table(d).reshape(-1), 2.0, f"cglmp:{d}")
+    return Functional(f"cglmp:{d}", scenario, 2.0, _cglmp_table(d).reshape(-1))
 
 
 def no_signaling_functionals(scenario: Scenario) -> list[Functional]:
@@ -144,39 +167,29 @@ def no_signaling_functionals(scenario: Scenario) -> list[Functional]:
     out: list[Functional] = []
     # each witness is built on the axes (this party's setting, the other's, then the outcomes)
     for label, p, axes in (("A", pi, (0, 1, 2, 3)), ("B", pi.T, (1, 0, 3, 2))):
-        for u in range(s):
-            for v in range(d):
-                for w1 in range(s):
-                    for w2 in range(w1 + 1, s):
-                        base = np.zeros((s, s, d, d))
-                        base[u, w1, v, :] += 1.0 / p[u, w1]
-                        base[u, w2, v, :] -= 1.0 / p[u, w2]
-                        for sign, tag in ((1.0, "+"), (-1.0, "-")):
-                            name = f"ns:{label}{u + 1}:o{v}:{w1 + 1}v{w2 + 1}:{tag}"
-                            out.append(functional_from_table(scenario, (sign * base.transpose(axes)).reshape(-1), 0.0, name))
+        for u, v, (w1, w2) in itertools.product(range(s), range(d), itertools.combinations(range(s), 2)):
+            base = np.zeros((s, s, d, d))
+            base[u, w1, v, :], base[u, w2, v, :] = 1.0 / p[u, w1], -1.0 / p[u, w2]
+            for sign, tag in ((1.0, "+"), (-1.0, "-")):
+                name = f"ns:{label}{u + 1}:o{v}:{w1 + 1}v{w2 + 1}:{tag}"
+                out.append(Functional(name, scenario, 0.0, (sign * base.transpose(axes)).reshape(-1)))
     return out
 
 
 def functional_from_table(scenario: Scenario, values: np.ndarray, bound: float, name: str = "custom") -> Functional:
-    """Wrap a K-length value table (ordered by the result encoding) with a declared bound."""
-    table = np.asarray(values, dtype=float)
-    return Functional(
-        name=name,
-        scenario=scenario,
-        bound_B=float(bound),
-        inf_b=float(table.min()),
-        sup_a=float(table.max()),
-        table=table,
-    )
+    """Wrap a caller's K-length value table (ordered by the result encoding) with its declared bound.
+
+    A bound below the table's LR maximum, where enumerable, raises :class:`ScenarioMismatchError`.
+    """
+    f = Functional(name, scenario, float(bound), values)
+    top = _lr_maximum_above(scenario, f.table, f.bound_B)
+    if top is not None:
+        raise ScenarioMismatchError(f"declared bound B={f.bound_B:.12g} is below the LR maximum {top:.12g}")
+    return f
 
 
 def load_functional_file(path: str | Path) -> Functional:
-    """Read a custom functional file ``{"scenario": .., "B": .., "values": [..]}``.
-
-    Where the deterministic strategies can be enumerated, a bound B below the
-    largest strategy expectation (beyond 1e-9 of the table's largest
-    magnitude) is refused: every p-value computed with it would be invalid.
-    """
+    """Read a custom functional file ``{"scenario": .., "B": .., "values": [..]}``; its bound is checked as on a table."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     for key in ("scenario", "B", "values"):
@@ -187,12 +200,10 @@ def load_functional_file(path: str | Path) -> Functional:
     bound = float(_json_numbers([obj["B"]], f"{path}: 'B'")[0])
     if not (np.all(np.isfinite(values)) and np.isfinite(bound)):
         raise TrialFormatError(f"{path}: 'B' and 'values' must be finite numbers")
-    f = functional_from_table(scenario, values, bound, str(obj.get("name", "custom")))
-    if strategy_count(scenario) <= STRATEGY_CAP:
-        top = float(vertex_expectations(scenario, f.table).max())
-        if f.bound_B < top - 1e-9 * float(np.abs(f.table).max()):
-            raise ScenarioMismatchError(f"{path}: declared bound B={f.bound_B:.12g} is below the LR maximum {top:.12g}")
-    return f
+    try:
+        return functional_from_table(scenario, values, bound, str(obj.get("name", "custom")))
+    except ScenarioMismatchError as exc:
+        raise ScenarioMismatchError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

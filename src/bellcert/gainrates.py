@@ -14,9 +14,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import quantum
-from .functionals import StandardizedFunctional, build_function_set, default_function_names, expectation
+from .functionals import StandardizedFunctional, _function_columns, build_function_set, default_function_names, expectation
 from .optim import DEFAULT_CONTROLS, GainOptimum, OptimizerControls, kl_project_lr, maximize_log_gain
-from .scenario import Distribution, _check_same_scenario
+from .scenario import Distribution
 
 
 def gain_martingale(i_q, a: float, b: float, bound: float):
@@ -48,11 +48,7 @@ def gain_spbr(
 
     ``functions[0]`` must be the trivial function.
     """
-    if not functions or not functions[0].is_trivial:
-        raise ValueError("functions must start with the trivial function")
-    for f in functions:
-        _check_same_scenario(f.scenario, q.scenario, f"function {f.name!r}")
-    return maximize_log_gain(np.column_stack([f.table for f in functions]), q.probs, controls)
+    return maximize_log_gain(_function_columns(functions, q.scenario), q.probs, controls)
 
 
 def optimal_gain(q: Distribution, controls: OptimizerControls = DEFAULT_CONTROLS) -> float:

@@ -21,11 +21,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .functionals import Functional, StandardizedFunctional, expectation
+from .functionals import Functional, StandardizedFunctional, _function_columns, expectation
 from .gainrates import gain_martingale, gain_spbr, optimal_gain
 from .lrpolytope import strategy_result_indices
 from .optim import DEFAULT_CONTROLS, OptimizerControls, _project_rows, maximize_log_gain
-from .scenario import Distribution, Scenario, _check_same_scenario, _dense_size, _encoded
+from .scenario import Distribution, Scenario, _dense_size, _encoded
 
 # Smallest positive double; reported p-values are clamped here instead of 0.
 P_FLOOR = 5e-324
@@ -187,9 +187,7 @@ class MartingaleAnalysis(BlockAnalysis):
 
     def __init__(self, functional: Functional):
         a, b, bound = functional.sup_a, functional.inf_b, functional.bound_B
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValueError("martingale protocol needs finite functional bounds")
-        if not (b < bound < a):
+        if not b < bound < a:
             raise ValueError(f"need inf_b < bound_B < sup_a, got {b}, {bound}, {a}")
         self.functional = functional
         super().__init__(sys.maxsize, functional.table)
@@ -229,15 +227,8 @@ class SimplifiedPbrAnalysis(BlockAnalysis):
         block_size: int = DEFAULT_BLOCK,
         controls: OptimizerControls = DEFAULT_CONTROLS,
     ):
-        if not functions:
-            raise ValueError("at least the trivial function is required")
-        if not functions[0].is_trivial:
-            raise ValueError("functions[0] must be the trivial function")
-        scenario = functions[0].scenario
-        for f in functions:
-            _check_same_scenario(f.scenario, scenario, f"function {f.name!r}")
+        self._r = _function_columns(functions)
         self.controls = controls
-        self._r = np.column_stack([f.table for f in functions])
         super().__init__(block_size, functions[0].table)
 
     def _predict(self, counts, n):

@@ -86,7 +86,17 @@ def project_simplex(v):
 
 
 def projected_gradient_kl(q, vertex_table, iters=20000, tol=1e-14):
-    """Minimize D(q | lam @ vertex_table) in bits by projected gradient with backtracking."""
+    """Minimize D(q | lam @ vertex_table) in bits by projected gradient with backtracking.
+
+    Returns ``(divergence, lam, converged)``; ``converged`` says the stopping
+    rule (objective and iterate both stationary) was met within ``iters``.
+    It converges on the full-support CHSH distributions of criterion 9 and
+    ``test_kl_project_matches_projected_gradient`` (at most a few thousand
+    iterations).  On floored ``cglmp:3`` frequencies it can stall far from the
+    optimum: on the 308-trial prefix of ``sample_encoded(cglmp3_q, 616,
+    seed=3)`` at floor 1e-9 it stops at 0.12291 bits after 20,000 iterations,
+    against the optimum 0.0929737, so callers must check ``converged``.
+    """
     sup = q > 0.0
     qs = q[sup]
     e = vertex_table[:, sup]
@@ -112,10 +122,9 @@ def projected_gradient_kl(q, vertex_table, iters=20000, tol=1e-14):
                 break
             step *= 0.5
         if abs(cur - val) <= tol * max(1.0, abs(cur)) and np.allclose(cand, lam, atol=1e-15):
-            lam, cur = cand, val
-            break
+            return val, cand, True
         lam, cur = cand, val
-    return cur, lam
+    return cur, lam, False
 
 
 def chsh_angle_oracle(theta, coarse=17, refine_rounds=60):

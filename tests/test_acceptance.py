@@ -259,7 +259,8 @@ def test_criterion_9_optimizer_oracles(chsh_scenario):
     worst_div = 0.0
     for _ in range(20):
         q = Distribution(chsh_scenario, rng.dirichlet(np.full(16, 0.6)), empirical=True)
-        oracle_div, _ = projected_gradient_kl(q.probs, table)
+        oracle_div, _, oracle_converged = projected_gradient_kl(q.probs, table)
+        assert oracle_converged, "projected-gradient oracle did not converge"
         ours = kl_project_lr(q, controls=OptimizerControls(max_iterations=400_000, rel_tolerance=1e-13)).divergence
         worst_div = max(worst_div, abs(ours - oracle_div))
     ok_div = worst_div < 1e-6

@@ -52,6 +52,12 @@ def test_analyze_empty_file(tmp_path, capsys):
     assert rc == 3
 
 
+def test_analyze_refuses_a_scenario_without_three_fields(trial_file, capsys):
+    path, _ = trial_file
+    assert main(["analyze", str(path), "--scenario", "2,2"]) == 2
+    assert "--scenario expects 'l,s,d', got '2,2'" in capsys.readouterr().err
+
+
 def test_analyze_malformed_file(tmp_path, capsys):
     path = tmp_path / "bad.jsonl"
     path.write_text("garbage\n")
@@ -137,6 +143,15 @@ def test_gain_single_config(capsys):
     assert float(row[2]) == pytest.approx(0.0565, abs=5e-4)
     assert float(row[3]) == pytest.approx(0.0675, abs=5e-4)
     assert float(row[5]) == pytest.approx(0.0675, abs=5e-4)
+
+
+def test_gain_out_writes_the_printed_table(tmp_path, capsys):
+    assert main(["gain", "--config", "cglmp:3"]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "gain.csv"
+    assert main(["gain", "--config", "cglmp:3", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    assert out.read_text(encoding="utf-8") == printed
 
 
 def test_gain_unknown_config(capsys):

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from bellcert import (
+    Functional,
     Scenario,
     ScenarioMismatchError,
     StandardizationError,
+    StandardizedFunctional,
     TrialResult,
     UnknownFunctionalError,
-    bounds_by_enumeration,
     build_function_set,
     catalog_names,
     chsh_functional,
@@ -22,6 +23,7 @@ from bellcert import (
     standardize,
     trivial_standardized,
     uniform_outcome_distribution,
+    vertex_expectations,
 )
 from bellcert.functionals import resolve_catalog_name
 
@@ -58,8 +60,9 @@ def test_standardize_chsh(chsh_scenario):
 
 
 def test_standardize_boundary_values():
+    # arithmetic only: this bound is below the table's LR maximum 2, which functional_from_table refuses
     sc = Scenario(1, 1, 3)
-    f = functional_from_table(sc, np.array([-1.0, 0.5, 2.0]), bound=0.5)
+    f = Functional("custom", sc, 0.5, np.array([-1.0, 0.5, 2.0]))
     r = standardize(f)
     assert _eval_on(r, (1,), (0,)) == 0.0  # I = b
     assert _eval_on(r, (1,), (1,)) == 1.0  # I = B
@@ -114,13 +117,72 @@ def test_cglmp_errors():
         cglmp_functional(Scenario(2, 3, 3))
 
 
-def test_bounds_by_enumeration(chsh_scenario):
-    assert bounds_by_enumeration(chsh_functional(chsh_scenario)) == (-4.0, 4.0)
+def test_range_is_derived_from_the_table(chsh_scenario):
+    f = chsh_functional(chsh_scenario)
+    assert (f.inf_b, f.sup_a) == (-4.0, 4.0)
     const = functional_from_table(Scenario(1, 1, 2), np.array([1.0, 1.0]), bound=2.0)
-    assert bounds_by_enumeration(const) == (1.0, 1.0)
+    assert (const.inf_b, const.sup_a) == (1.0, 1.0)
     f3 = cglmp_functional(Scenario(2, 2, 3))
     distinct = sorted(set(f3.table))
-    assert bounds_by_enumeration(f3) == (distinct[0], distinct[-1])
+    assert (f3.inf_b, f3.sup_a) == (distinct[0], distinct[-1])
+    # a range cannot be declared: [1, 4] would not bound CHSH's trial values
+    with pytest.raises(TypeError):
+        Functional("chsh", chsh_scenario, 2.0, f.table, inf_b=1.0, sup_a=4.0)
+
+
+CATALOG_SCENARIOS = [Scenario(2, 2, 2), Scenario(2, 2, 3), Scenario(2, 3, 4)]
+
+
+@pytest.mark.parametrize("sc", CATALOG_SCENARIOS, ids=["2,2,2", "2,2,3", "2,3,4"])
+def test_catalog_bounds_are_the_vertex_maxima(sc):
+    # the catalog builds Functional directly, skipping the vertex check; its bounds must be exact
+    functionals = [f for name in catalog_names(sc) for f in resolve_catalog_name(name, sc)]
+    assert len(functionals) == {2: 18, 3: 25, 4: 144}[sc.outcomes_per_setting]
+    for f in functionals:
+        assert abs(f.bound_B - vertex_expectations(sc, f.table).max()) <= 1e-12, f.name
+        assert (f.inf_b, f.sup_a) == (f.table.min(), f.table.max())
+
+
+@pytest.mark.parametrize("sc", CATALOG_SCENARIOS, ids=["2,2,2", "2,2,3", "2,3,4"])
+def test_function_set_tables_have_vertex_maximum_one(sc):
+    for r in build_function_set(catalog_names(sc), sc):
+        assert abs(vertex_expectations(sc, r.table).max() - 1.0) <= 1e-12, r.name
+
+
+def test_a_table_must_be_finite(chsh_scenario):
+    # with an infinite value the vertex check's tolerance is nan and passes; spbr then
+    # scored that result log2(inf) and reported p = 5e-324 on uniform-outcome LR data
+    table = chsh_functional(chsh_scenario).table.copy()
+    table[5] = np.inf
+    with pytest.raises(ValueError, match="16 finite numbers"):
+        functional_from_table(chsh_scenario, table, 2.0)
+    with pytest.raises(ValueError, match="16 finite numbers"):
+        StandardizedFunctional("r", chsh_scenario, np.where(np.isinf(table), np.inf, 0.25))
+    with pytest.raises(ValueError, match="16 finite numbers"):
+        functional_from_table(chsh_scenario, table[:15], 2.0)
+
+
+def test_catalog_rejects_a_malformed_cglmp_name(chsh_scenario):
+    with pytest.raises(UnknownFunctionalError, match="malformed catalog name"):
+        resolve_catalog_name("cglmp:x", chsh_scenario)
+
+
+def test_hand_built_weighted_function_is_checked(chsh_scenario):
+    r = standardize(chsh_functional(chsh_scenario)).table
+    assert not StandardizedFunctional("r", chsh_scenario, r).is_trivial
+    StandardizedFunctional("r", chsh_scenario, r * (1.0 + 1e-12))  # within 1e-9 of max |r|
+    for bad in (r * (1.0 + 1e-6), r - 0.1):
+        with pytest.raises(StandardizationError):
+            StandardizedFunctional("bad", chsh_scenario, bad)
+    assert StandardizedFunctional("ones", chsh_scenario, np.ones(16)).is_trivial
+
+
+def test_hand_built_weighted_function_without_strategy_enumeration():
+    # (2, 2, 33) has 33^4 > STRATEGY_CAP strategies: only the sign can be checked
+    sc = Scenario(2, 2, 33)
+    StandardizedFunctional("r", sc, np.full(4356, 5.0))
+    with pytest.raises(StandardizationError):
+        StandardizedFunctional("r", sc, np.full(4356, -1.0))
 
 
 def test_no_signaling_counts():
@@ -141,6 +203,11 @@ def test_no_signaling_zero_on_strategies(chsh_scenario):
 def test_no_signaling_non_bipartite():
     with pytest.raises(ValueError):
         no_signaling_functionals(Scenario(3, 2, 2))
+
+
+def test_no_signaling_needs_every_joint_setting():
+    with pytest.raises(ValueError, match="positive probability"):
+        no_signaling_functionals(Scenario(2, 2, 2, [0.5, 0.0, 0.25, 0.25]))
 
 
 def test_catalog_lr_bound_property(chsh_scenario, cglmp3_scenario):
@@ -237,11 +304,19 @@ def test_functional_file_accepts_an_honest_bound(tmp_path, chsh_scenario, bound)
     assert load_functional_file(_functional_file(tmp_path / "f.json", bound, f.table)).bound_B == bound
 
 
-@pytest.mark.parametrize("bound", [1.9, 2.0 - 1e-6])
+@pytest.mark.parametrize("bound", [1.0, 1.9, 2.0 - 1e-6])
 def test_functional_file_refuses_an_understated_bound(tmp_path, chsh_scenario, bound):
     f = chsh_functional(chsh_scenario)
+    path = _functional_file(tmp_path / "f.json", bound, f.table)
+    with pytest.raises(ScenarioMismatchError, match=f"{path}: declared bound .* below the LR maximum 2"):
+        load_functional_file(path)
+
+
+def test_table_functional_refuses_an_understated_bound(chsh_scenario):
+    table = chsh_functional(chsh_scenario).table
     with pytest.raises(ScenarioMismatchError, match="below the LR maximum 2"):
-        load_functional_file(_functional_file(tmp_path / "f.json", bound, f.table))
+        functional_from_table(chsh_scenario, table, 1.0)
+    assert functional_from_table(chsh_scenario, table, 2.0).bound_B == 2.0
 
 
 def test_functional_file_bound_check_on_a_zero_maximum(tmp_path, chsh_scenario):

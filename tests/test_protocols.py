@@ -11,6 +11,8 @@ from bellcert import (
     Scenario,
     ScenarioMismatchError,
     SimplifiedPbrAnalysis,
+    StandardizationError,
+    StandardizedFunctional,
     TrialResult,
     azuma_pvalue,
     build_function_set,
@@ -120,7 +122,7 @@ def test_run_martingale_all_max(chsh_scenario):
 
 def test_run_martingale_rejects_unbounded(chsh_scenario):
     f = chsh_functional(chsh_scenario)
-    bad = type(f)(name="bad", scenario=f.scenario, bound_B=5.0, inf_b=-4.0, sup_a=4.0, table=f.table)
+    bad = type(f)(name="bad", scenario=f.scenario, bound_B=5.0, table=f.table)
     with pytest.raises(ValueError):
         run_martingale([], bad)
 
@@ -144,6 +146,15 @@ def test_spbr_zero_r_data_keeps_trivial_weights(chsh_scenario):
     assert analysis.log2_t == 0.0
     assert analysis.pvalue == 1.0
     assert np.all(analysis.history()[:, 1] == 0.0)
+
+
+def test_spbr_refuses_a_hand_built_function_above_lr_expectation_one(chsh_scenario):
+    # CHSH / 2 + 2 has LR maximum 3.  Unchecked, 2,000 trials of the deterministic
+    # strategy that attains CHSH = 2 gave spbr p = 5e-324 with it.
+    table = chsh_functional(chsh_scenario).table / 2.0 + 2.0
+    enc = sample_encoded(strategy_distribution(chsh_scenario, [[0, 0], [0, 0]]), 2000, seed=0)
+    with pytest.raises(StandardizationError, match="LR maximum <= 1"):
+        run_simplified_pbr(enc, [trivial_standardized(chsh_scenario), StandardizedFunctional("inflated", chsh_scenario, table)])
 
 
 def test_spbr_requires_trivial_first(chsh_scenario):

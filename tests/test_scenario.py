@@ -231,6 +231,16 @@ def test_distribution_file_roundtrip(tmp_path, chsh_q):
     assert back.scenario.outcomes_per_setting == 2
 
 
+def test_distribution_file_keeps_an_empirical_table(tmp_path, chsh_scenario):
+    # frequencies of three trials do not reproduce the uniform setting distribution
+    dist = empirical_distribution(chsh_scenario, np.array([0, 0, 15]))
+    path = tmp_path / "dist.json"
+    write_distribution(path, dist)
+    assert json.loads(path.read_text())["empirical"] is True
+    back = read_distribution(path)
+    assert back.empirical and np.array_equal(back.probs, dist.probs)
+
+
 @pytest.mark.parametrize("empirical", ["no", 1, None])
 def test_distribution_file_empirical_must_be_a_boolean(tmp_path, chsh_q, empirical):
     path = tmp_path / "dist.json"
