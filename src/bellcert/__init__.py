@@ -23,7 +23,6 @@ from .functionals import (
     chsh_functional,
     cglmp_functional,
     expectation,
-    functional_from_table,
     load_functional_file,
     no_signaling_functionals,
     standardize,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -17,14 +17,14 @@ import numpy as np
 
 from .errors import ScenarioMismatchError, StandardizationError, TrialFormatError, UnknownFunctionalError
 from .lrpolytope import STRATEGY_CAP, strategy_count, vertex_expectations
-from .scenario import Distribution, Scenario, _check_same_scenario, _dense_size, _frozen, result_space_size
+from .scenario import Distribution, Scenario, _check_same_scenario, _dense_size, _frozen
 from .scenario import _json_numbers, scenario_from_json
 
 
 def _freeze_table(f: Functional | StandardizedFunctional) -> np.ndarray:
     """Replace ``f.table`` by a read-only copy, refused unless it holds K finite values; returns the copy."""
+    k = _dense_size(f.scenario)
     t = _frozen(f.table)
-    k = result_space_size(f.scenario)
     if t.shape != (k,) or not np.all(np.isfinite(t)):
         raise ValueError(f"value table must hold {k} finite numbers")
     object.__setattr__(f, "table", t)
@@ -44,8 +44,8 @@ class Functional:
     """A per-trial function with declared LR bound B; its range [inf_b, sup_a] is the table's.
 
     ``table`` holds the K values ordered by the result encoding, so evaluating
-    a trial is one lookup at its encoded index.  :func:`functional_from_table`
-    checks a caller's bound against the vertices; this class takes it as given.
+    a trial is one lookup at its encoded index.  A non-finite bound raises ValueError, and one
+    below the table's LR maximum, where enumerable, :class:`ScenarioMismatchError`.
     """
 
     name: str
@@ -59,14 +59,19 @@ class Functional:
         t = _freeze_table(self)
         object.__setattr__(self, "inf_b", float(t.min()))
         object.__setattr__(self, "sup_a", float(t.max()))
+        if not np.isfinite(self.bound_B):
+            raise ValueError(f"functional {self.name!r}: bound B must be a finite number, got {self.bound_B}")
+        top = _lr_maximum_above(self.scenario, t, self.bound_B)
+        if top is not None:
+            raise ScenarioMismatchError(f"declared bound B={self.bound_B:.12g} is below the LR maximum {top:.12g}")
 
 
 @dataclass(frozen=True, eq=False)
 class StandardizedFunctional:
     """The r-form of a functional: non-negative, LR expectation at most 1, tabulated like its source.
 
-    The all-ones table is the trivial function.  Any other table without a
-    ``source`` must be non-negative with LR maximum at most 1 where enumerable.
+    The all-ones table is the trivial function.  A table with a ``source`` must be exactly its
+    standardized table; any other must be non-negative with LR maximum at most 1 where enumerable.
     """
 
     name: str
@@ -78,17 +83,26 @@ class StandardizedFunctional:
     def __post_init__(self):
         t = _freeze_table(self)
         object.__setattr__(self, "is_trivial", bool(np.all(t == 1.0)))
-        if self.source is None and not self.is_trivial:
+        if self.source is not None:
+            _check_same_scenario(self.scenario, self.source.scenario, f"weighted function {self.name!r}")
+            if not np.array_equal(t, _standardized_table(self.source)):
+                raise StandardizationError(f"weighted function {self.name!r} is not the standardized table of its source")
+        elif not self.is_trivial:
             if np.any(t < 0.0) or _lr_maximum_above(self.scenario, t, 1.0) is not None:
                 raise StandardizationError(f"weighted function {self.name!r} needs values >= 0 and LR maximum <= 1")
 
 
-def standardize(f: Functional) -> StandardizedFunctional:
-    """r(x) = (I(x) - b)/(B - b); requires inf_b < bound_B."""
+def _standardized_table(f: Functional) -> np.ndarray:
+    """(I - b)/(B - b) over the table; requires inf_b < bound_B."""
     b, bb = f.inf_b, f.bound_B
     if not b < bb:
         raise StandardizationError(f"functional {f.name!r}: standardization needs inf_b < bound_B (got {b} >= {bb})")
-    return StandardizedFunctional(name=f"std({f.name})", scenario=f.scenario, table=(f.table - b) / (bb - b), source=f)
+    return (f.table - b) / (bb - b)
+
+
+def standardize(f: Functional) -> StandardizedFunctional:
+    """r(x) = (I(x) - b)/(B - b); requires inf_b < bound_B."""
+    return StandardizedFunctional(name=f"std({f.name})", scenario=f.scenario, table=_standardized_table(f), source=f)
 
 
 def trivial_standardized(scenario: Scenario) -> StandardizedFunctional:
@@ -123,7 +137,7 @@ def chsh_functional(scenario: Scenario) -> Functional:
     """
     if not (_two_by_two(scenario) and scenario.outcomes_per_setting == 2):
         raise ValueError("chsh_functional requires a (2, 2, 2) scenario with uniform settings")
-    return replace(cglmp_functional(scenario), name="chsh")
+    return Functional("chsh", scenario, 2.0, _cglmp_table(2).reshape(-1))  # not replace(): it would rerun the vertex check
 
 
 def _cglmp_table(d: int) -> np.ndarray:
@@ -144,6 +158,7 @@ def _cglmp_table(d: int) -> np.ndarray:
 
 def cglmp_functional(scenario: Scenario) -> Functional:
     """d-outcome generalization of the CHSH combination (d from the scenario), LR bound 2, d distinct values."""
+    _dense_size(scenario)
     d = scenario.outcomes_per_setting
     if not (_two_by_two(scenario) and d >= 2):
         raise ValueError("cglmp_functional requires a (2, 2, d) scenario with d >= 2 and uniform settings")
@@ -158,6 +173,7 @@ def no_signaling_functionals(scenario: Scenario) -> list[Functional]:
     P(v | u, w1) - P(v | u, w2), which vanishes under every no-signaling
     (hence every LR) model.  Both signs are emitted.
     """
+    _dense_size(scenario)
     if scenario.parties != 2:
         raise ValueError("no_signaling_functionals: only bipartite scenarios are supported")
     if np.any(scenario.setting_distribution <= 0.0):
@@ -176,20 +192,8 @@ def no_signaling_functionals(scenario: Scenario) -> list[Functional]:
     return out
 
 
-def functional_from_table(scenario: Scenario, values: np.ndarray, bound: float, name: str = "custom") -> Functional:
-    """Wrap a caller's K-length value table (ordered by the result encoding) with its declared bound.
-
-    A bound below the table's LR maximum, where enumerable, raises :class:`ScenarioMismatchError`.
-    """
-    f = Functional(name, scenario, float(bound), values)
-    top = _lr_maximum_above(scenario, f.table, f.bound_B)
-    if top is not None:
-        raise ScenarioMismatchError(f"declared bound B={f.bound_B:.12g} is below the LR maximum {top:.12g}")
-    return f
-
-
 def load_functional_file(path: str | Path) -> Functional:
-    """Read a custom functional file ``{"scenario": .., "B": .., "values": [..]}``; its bound is checked as on a table."""
+    """Read a custom functional file ``{"scenario": .., "B": .., "values": [..]}``; checked as :class:`Functional` is."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     for key in ("scenario", "B", "values"):
@@ -198,12 +202,10 @@ def load_functional_file(path: str | Path) -> Functional:
     scenario = scenario_from_json(obj["scenario"])
     values = _json_numbers(obj["values"], f"{path}: 'values'")
     bound = float(_json_numbers([obj["B"]], f"{path}: 'B'")[0])
-    if not (np.all(np.isfinite(values)) and np.isfinite(bound)):
-        raise TrialFormatError(f"{path}: 'B' and 'values' must be finite numbers")
     try:
-        return functional_from_table(scenario, values, bound, str(obj.get("name", "custom")))
-    except ScenarioMismatchError as exc:
-        raise ScenarioMismatchError(f"{path}: {exc}") from None
+        return Functional(str(obj.get("name", "custom")), scenario, bound, values)
+    except (ScenarioMismatchError, ValueError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

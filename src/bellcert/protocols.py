@@ -197,7 +197,7 @@ class MartingaleAnalysis(BlockAnalysis):
 
     def _stats(self, totals, n):
         f = self.functional
-        mean = totals / n
+        mean = np.clip(totals / n, f.inf_b, f.sup_a)  # a sum of in-range scores can round past the range
         return mean, n * gain_martingale(mean, f.sup_a, f.inf_b, f.bound_B)
 
     @property
@@ -353,7 +353,7 @@ def _mart_functional(functions: Sequence[StandardizedFunctional]) -> Functional:
 
 def _mart_rate(q: Distribution, functions, controls) -> float:
     f = _mart_functional(functions)
-    return gain_martingale(max(expectation(f, q), f.bound_B), f.sup_a, f.inf_b, f.bound_B)
+    return gain_martingale(expectation(f, q), f.sup_a, f.inf_b, f.bound_B)
 
 
 # Entries call the run_* and rate functions through their module-global names,

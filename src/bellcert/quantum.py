@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import cglmp_functional
+from .functionals import _cglmp_table
 from .scenario import Distribution, Scenario
 
 # Dense complex linear algebra is kept to small local dimensions.
@@ -117,8 +117,7 @@ def _fourier_banks(d: int) -> MeasurementBank:
 def _max_violation_amplitudes(d: int, bank: MeasurementBank) -> np.ndarray:
     # <I_d> is a quadratic form in real Schmidt amplitudes; its leading
     # eigenvector is the violation-maximizing coefficient vector.
-    scenario = Scenario(2, 2, d)
-    values = cglmp_functional(scenario).table.reshape(2, 2, d, d)
+    values = _cglmp_table(d)
     m = np.zeros((d, d), dtype=complex)
     for u in range(2):
         for v in range(2):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ScenarioMismatchError, SizeLimitError, TrialFormatError
 
-# Largest encoded index we are willing to hand out (fits in int64).
+# Largest result space a scenario may have, so that every code 0..K-1 fits in int64.
 INDEX_LIMIT = 2**63
 # Largest result space that operations may enumerate or materialize densely.
 ENUMERATION_CAP = 2**24
@@ -49,6 +49,8 @@ class Scenario:
             raise ValueError("parties, settings_per_party and outcomes_per_setting must be >= 1")
         if s**l > ENUMERATION_CAP:
             raise SizeLimitError(f"joint-setting space {s}^{l} exceeds the storage cap {ENUMERATION_CAP}")
+        if (d * s) ** l > INDEX_LIMIT:
+            raise SizeLimitError(f"result space (d*s)^l = {(d * s) ** l} exceeds the index limit 2^63")
         n_joint = s**l
         if self.setting_distribution is None:
             dist = np.full(n_joint, 1.0 / n_joint)
@@ -96,11 +98,8 @@ class TrialResult:
 
 
 def result_space_size(scenario: Scenario) -> int:
-    """Number of distinct trial results, (d*s)^l."""
-    k = (scenario.outcomes_per_setting * scenario.settings_per_party) ** scenario.parties
-    if k > INDEX_LIMIT:
-        raise SizeLimitError(f"result space (d*s)^l = {k} exceeds the index limit 2^63")
-    return k
+    """Number of distinct trial results, (d*s)^l; at most 2^63, as every scenario is."""
+    return (scenario.outcomes_per_setting * scenario.settings_per_party) ** scenario.parties
 
 
 def _dense_size(scenario: Scenario) -> int:

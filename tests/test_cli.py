@@ -340,7 +340,32 @@ def test_analyze_refuses_an_understated_functional_bound(tmp_path, capsys, trial
     func_path.write_text(json.dumps({"scenario": {"l": 2, "s": 2, "d": 2}, "B": 1.5, "values": values}))
     rc = main(["analyze", str(path), "--scenario", "2,2,2", "--functions", f"file:{func_path}", "--protocol", "mart"])
     assert rc == 3
-    assert "below the LR maximum" in capsys.readouterr().err
+    assert f"{func_path}: declared bound B=1.5 is below the LR maximum 2" in capsys.readouterr().err
+
+
+def test_analyze_mart_when_the_running_mean_rounds_past_its_range(tmp_path, capsys):
+    # 0.1 x CHSH on three top-scoring trials: the raw mean 0.4000000000000001 exceeded sup_a = 0.4 (exit 2)
+    from bellcert import chsh_functional
+
+    func_path = tmp_path / "scaled.json"
+    values = list(0.1 * chsh_functional(Scenario(2, 2, 2)).table)
+    func_path.write_text(json.dumps({"scenario": {"l": 2, "s": 2, "d": 2}, "B": 0.2, "values": values}))
+    trials = tmp_path / "top.jsonl"
+    trials.write_text('{"settings":[1,1],"outcomes":[0,0]}\n' * 3)
+    rc = main(["analyze", str(trials), "--scenario", "2,2,2", "--functions", f"file:{func_path}", "--protocol", "mart"])
+    assert rc == 0
+    assert capsys.readouterr().out.strip() == "protocol=mart n=3 mean=0.4 p_value=0.421875"
+
+
+@pytest.mark.parametrize("command", ["analyze", "catalog"])
+def test_a_result_space_past_the_index_limit_is_refused(tmp_path, capsys, command):
+    # (2 * 2^33)^2 = 2^68 results: analyze failed on this record's code with "int too big to convert" (exit 1),
+    # and catalog listed functionals that could not be built
+    trials = tmp_path / "big.jsonl"
+    trials.write_text('{"settings":[2,2],"outcomes":[8589934591,8589934591]}\n')
+    argv = {"analyze": ["analyze", str(trials), "--functions", "trivial", "--protocol", "mart"], "catalog": ["catalog"]}
+    assert main(argv[command] + ["--scenario", "2,2,8589934592"]) == 2
+    assert "exceeds the index limit 2^63" in capsys.readouterr().err
 
 
 def test_analyze_refuses_a_constant_functional(tmp_path, capsys, trial_file):

@@ -2,11 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bellcert.scenario
 from bellcert import (
     Functional,
     Scenario,
     ScenarioMismatchError,
+    SizeLimitError,
     StandardizationError,
     StandardizedFunctional,
     TrialResult,
@@ -17,7 +21,6 @@ from bellcert import (
     cglmp_functional,
     encode_result,
     expectation,
-    functional_from_table,
     load_functional_file,
     no_signaling_functionals,
     standardize,
@@ -27,7 +30,7 @@ from bellcert import (
 )
 from bellcert.functionals import resolve_catalog_name
 
-from oracles import enumerate_strategy_expectations
+from oracles import enumerate_strategy_distributions, enumerate_strategy_expectations
 
 
 def _eval_on(f, settings, outcomes):
@@ -60,17 +63,18 @@ def test_standardize_chsh(chsh_scenario):
 
 
 def test_standardize_boundary_values():
-    # arithmetic only: this bound is below the table's LR maximum 2, which functional_from_table refuses
+    # one setting, so each outcome is a deterministic strategy: the LR maximum is the largest value
     sc = Scenario(1, 1, 3)
-    f = Functional("custom", sc, 0.5, np.array([-1.0, 0.5, 2.0]))
+    f = Functional("custom", sc, 2.0, np.array([-1.0, 0.5, 2.0]))
     r = standardize(f)
     assert _eval_on(r, (1,), (0,)) == 0.0  # I = b
-    assert _eval_on(r, (1,), (1,)) == 1.0  # I = B
+    assert _eval_on(r, (1,), (1,)) == 0.5
+    assert _eval_on(r, (1,), (2,)) == 1.0  # I = B
 
 
 def test_standardize_undefined():
     sc = Scenario(1, 1, 2)
-    const = functional_from_table(sc, np.array([1.0, 1.0]), bound=1.0)
+    const = Functional("custom", sc, 1.0, np.array([1.0, 1.0]))
     with pytest.raises(StandardizationError):
         standardize(const)
 
@@ -120,7 +124,7 @@ def test_cglmp_errors():
 def test_range_is_derived_from_the_table(chsh_scenario):
     f = chsh_functional(chsh_scenario)
     assert (f.inf_b, f.sup_a) == (-4.0, 4.0)
-    const = functional_from_table(Scenario(1, 1, 2), np.array([1.0, 1.0]), bound=2.0)
+    const = Functional("custom", Scenario(1, 1, 2), 2.0, np.array([1.0, 1.0]))
     assert (const.inf_b, const.sup_a) == (1.0, 1.0)
     f3 = cglmp_functional(Scenario(2, 2, 3))
     distinct = sorted(set(f3.table))
@@ -135,7 +139,7 @@ CATALOG_SCENARIOS = [Scenario(2, 2, 2), Scenario(2, 2, 3), Scenario(2, 3, 4)]
 
 @pytest.mark.parametrize("sc", CATALOG_SCENARIOS, ids=["2,2,2", "2,2,3", "2,3,4"])
 def test_catalog_bounds_are_the_vertex_maxima(sc):
-    # the catalog builds Functional directly, skipping the vertex check; its bounds must be exact
+    # the constructor's vertex check would pass a bound 1e-9 low; the catalog's must be exact
     functionals = [f for name in catalog_names(sc) for f in resolve_catalog_name(name, sc)]
     assert len(functionals) == {2: 18, 3: 25, 4: 144}[sc.outcomes_per_setting]
     for f in functionals:
@@ -155,11 +159,11 @@ def test_a_table_must_be_finite(chsh_scenario):
     table = chsh_functional(chsh_scenario).table.copy()
     table[5] = np.inf
     with pytest.raises(ValueError, match="16 finite numbers"):
-        functional_from_table(chsh_scenario, table, 2.0)
+        Functional("custom", chsh_scenario, 2.0, table)
     with pytest.raises(ValueError, match="16 finite numbers"):
         StandardizedFunctional("r", chsh_scenario, np.where(np.isinf(table), np.inf, 0.25))
     with pytest.raises(ValueError, match="16 finite numbers"):
-        functional_from_table(chsh_scenario, table[:15], 2.0)
+        Functional("custom", chsh_scenario, 2.0, table[:15])
 
 
 def test_catalog_rejects_a_malformed_cglmp_name(chsh_scenario):
@@ -287,7 +291,7 @@ def test_functional_file_roundtrip(tmp_path, chsh_scenario):
 
 def test_table_functional_keeps_the_callers_array_writeable():
     a = np.array([1.0, -1.0, 3.0, 0.0])
-    f = functional_from_table(Scenario(1, 2, 2), a, 2.5)
+    f = Functional("custom", Scenario(1, 2, 2), 2.5, a)
     assert a.flags.writeable and not f.table.flags.writeable
     a[0] = 9.0
     assert f.table[0] == 1.0
@@ -313,10 +317,14 @@ def test_functional_file_refuses_an_understated_bound(tmp_path, chsh_scenario, b
 
 
 def test_table_functional_refuses_an_understated_bound(chsh_scenario):
+    # with B = 1 mart certified the deterministic strategy reaching CHSH = 2 at p = 1.8e-28 (2,000 trials)
     table = chsh_functional(chsh_scenario).table
     with pytest.raises(ScenarioMismatchError, match="below the LR maximum 2"):
-        functional_from_table(chsh_scenario, table, 1.0)
-    assert functional_from_table(chsh_scenario, table, 2.0).bound_B == 2.0
+        Functional("under", chsh_scenario, 1.0, table)
+    assert Functional("custom", chsh_scenario, 2.0, table).bound_B == 2.0
+    for bound in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="bound B must be a finite number"):
+            Functional("custom", chsh_scenario, bound, table)
 
 
 def test_functional_file_bound_check_on_a_zero_maximum(tmp_path, chsh_scenario):
@@ -325,3 +333,63 @@ def test_functional_file_bound_check_on_a_zero_maximum(tmp_path, chsh_scenario):
     assert load_functional_file(_functional_file(tmp_path / "f.json", 0.0, ns.table)).bound_B == 0.0
     with pytest.raises(ScenarioMismatchError):
         load_functional_file(_functional_file(tmp_path / "f.json", -0.01, ns.table))
+
+
+SMALL_SCENARIOS = {(1, 2, 2): 4, (2, 2, 2): 16, (2, 2, 3): 36}
+
+
+@st.composite
+def tables_and_bounds(draw):
+    lsd = draw(st.sampled_from(sorted(SMALL_SCENARIOS)))
+    k = SMALL_SCENARIOS[lsd]
+    table = np.array(draw(st.lists(st.floats(-5.0, 5.0, allow_subnormal=False), min_size=k, max_size=k)))
+    # offsets from the LR maximum in units of max|t|, kept far from the tolerance edge at -1e-9
+    offset = draw(st.sampled_from([-1.0, -1e-3, -1e-7, 0.0, 1e-7, 1.0]))
+    return lsd, table, offset
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=tables_and_bounds())
+def test_functional_accepts_exactly_the_bounds_at_its_lr_maximum(case):
+    (l, s, d), table, offset = case
+    top = float((enumerate_strategy_distributions(l, s, d) @ table).max())
+    scale = float(np.abs(table).max())
+    bound = top + offset * scale
+    if bound >= top - 1e-9 * scale:
+        assert Functional("t", Scenario(l, s, d), bound, table).bound_B == bound
+    else:
+        with pytest.raises(ScenarioMismatchError, match="below the LR maximum"):
+            Functional("t", Scenario(l, s, d), bound, table)
+
+
+def test_a_sourced_standardized_table_is_its_sources(chsh_scenario):
+    # this table has LR maximum 3; spbr certified the strategy reaching CHSH = 2 at p = 5e-324 (2,000 trials)
+    chsh = chsh_functional(chsh_scenario)
+    with pytest.raises(StandardizationError, match="not the standardized table of its source"):
+        StandardizedFunctional("x", chsh_scenario, chsh.table / 2 + 2, source=chsh)
+    r = standardize(chsh)
+    assert StandardizedFunctional("r", chsh_scenario, r.table, source=chsh).source is chsh
+    with pytest.raises(ScenarioMismatchError):
+        StandardizedFunctional("r", Scenario(2, 2, 2, [0.4, 0.2, 0.2, 0.2]), r.table, source=chsh)
+
+
+def test_functional_file_errors_name_the_file(tmp_path, chsh_scenario):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"scenario": {"l": 2, "s": 2, "d": 2}, "B": float("nan"), "values": [0.0] * 16}))
+    with pytest.raises(ValueError, match=f"{path}: functional 'custom': bound B must be a finite number"):
+        load_functional_file(path)
+
+
+def test_every_table_obeys_the_dense_cap(monkeypatch):
+    monkeypatch.setattr(bellcert.scenario, "ENUMERATION_CAP", 64)
+    sc = Scenario(2, 2, 5)  # 100 results
+    builders = [
+        lambda: cglmp_functional(sc),
+        lambda: no_signaling_functionals(sc),
+        lambda: trivial_standardized(sc),
+        lambda: Functional("t", sc, 1.0, np.zeros(100)),
+        lambda: StandardizedFunctional("r", sc, np.zeros(100)),
+    ]
+    for build in builders:
+        with pytest.raises(SizeLimitError, match="exceeds the cap 64"):
+            build()

@@ -7,6 +7,7 @@ import pytest
 from bellcert import (
     Distribution,
     FullPbrAnalysis,
+    Functional,
     OptimizerControls,
     Scenario,
     ScenarioMismatchError,
@@ -118,6 +119,17 @@ def test_run_martingale_all_max(chsh_scenario):
     hist = analysis.history()
     assert hist.shape == (n, 3)
     assert np.all(hist[:, 1] <= f.sup_a) and np.all(hist[:, 1] >= f.inf_b)
+
+
+def test_run_martingale_mean_rounding_past_the_range_is_clipped(chsh_scenario):
+    # three scores of 0.4 sum to 1.2000000000000002, so the raw running mean rounds past sup_a = 0.4
+    f = Functional("scaled", chsh_scenario, 0.2, 0.1 * chsh_functional(chsh_scenario).table)
+    analysis = run_martingale(encode_trials(chsh_scenario, [TrialResult((1, 1), (0, 0))] * 3), f)
+    assert analysis.mean == f.sup_a == 0.4
+    assert analysis.pvalue == pytest.approx(0.75**3, rel=1e-12)
+    hist = analysis.history()
+    assert np.all(hist[:, 1] == 0.4)
+    assert hist[:, 2] == pytest.approx(0.75 ** np.arange(1, 4), rel=1e-12)
 
 
 def test_run_martingale_rejects_unbounded(chsh_scenario):

@@ -1,9 +1,13 @@
 """README's quick starts run as written, so they cannot name a removed or renamed function or flag."""
 import argparse
+import builtins
+import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
+import bellcert
 from bellcert import Scenario, born_distribution, chsh_config, sample_encoded, write_trials
 from bellcert.cli import build_parser, main
 
@@ -44,3 +48,13 @@ def test_flag_table_lists_every_registered_option():
         for name, p in commands.items()
     }
     assert table == registered
+
+
+def test_every_function_the_readme_calls_exists():
+    # each `name(` inside an inline code span names something in bellcert, one of its submodules, or a builtin
+    prose = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.DOTALL)
+    called = {name for span in re.findall(r"`([^`]+)`", prose) for name in re.findall(r"([A-Za-z_]\w*)\(", span)}
+    submodules = pkgutil.iter_modules(bellcert.__path__, "bellcert.")
+    modules = [bellcert, builtins] + [importlib.import_module(m.name) for m in submodules]
+    missing = sorted(name for name in called if not any(hasattr(m, name) for m in modules))
+    assert called and not missing

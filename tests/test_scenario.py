@@ -33,9 +33,8 @@ def test_result_space_size():
 
 
 def test_result_space_size_overflow():
-    big = Scenario(8, 4, 1000)  # (4000)^8 > 2^63
     with pytest.raises(SizeLimitError):
-        result_space_size(big)
+        Scenario(8, 4, 1000)  # (4000)^8 > 2^63
 
 
 def test_scenario_validation():
