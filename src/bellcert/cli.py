@@ -15,7 +15,7 @@ from . import gainrates, quantum, sim
 from .errors import BellcertError, ScenarioMismatchError, TrialFormatError
 from .functionals import build_function_set, catalog_names
 from .optim import DEFAULT_CONTROLS, OptimizerControls
-from .protocols import DEFAULT_BLOCK, DEFAULT_FLOOR, select_protocols
+from .protocols import DEFAULT_BLOCK, DEFAULT_FLOOR, _run_selection
 from .scenario import Scenario, _distribution_json, read_distribution, read_trials, write_distribution
 
 EXIT_OK = 0
@@ -73,11 +73,7 @@ def cmd_analyze(args) -> int:
     if encoded.size == 0:
         raise ScenarioMismatchError(f"{args.trials_file}: no trial records")
     functions = build_function_set(_names(args.functions, "--functions"), scenario)
-    protocols = select_protocols(_names(args.protocol, "--protocol"), args.block)
-    controls = _controls(args)
-    analyses = {
-        name: protocol.run(encoded, functions, args.block, controls, args.floor) for name, protocol in protocols.items()
-    }
+    analyses = _run_selection(_names(args.protocol, "--protocol"), encoded, functions, args.block, _controls(args), args.floor)
     for name, analysis in analyses.items():
         print(
             f"protocol={name} n={analysis.n} {analysis.statistic_name}={analysis.statistic:.10g}"
@@ -211,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tol", type=float, default=d.rel_tolerance, help="optimizer KKT stationarity gap")
             p.add_argument("--max-iter", type=int, default=d.max_iterations, help="optimizer iteration budget")
         if protocol:
-            p.add_argument("--floor", type=float, default=DEFAULT_FLOOR, help="frequency floor for the full protocol")
+            p.add_argument("--floor", type=float, default=DEFAULT_FLOOR, help="fpbr frequency floor on possible settings' results")
             p.add_argument("--block", type=int, default=DEFAULT_BLOCK, help="trials per prediction update")
             p.add_argument("--per-block", action="store_true", help="report one row per block instead of per trial")
         p.add_argument("--out", default=None, help="output file or directory")

@@ -9,12 +9,13 @@ here ever scales with the full result space times the strategy count.
 """
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
 
 from .errors import SizeLimitError
-from .scenario import Distribution, Scenario, _dense_size, result_space_size
+from .scenario import ENUMERATION_CAP, Distribution, Scenario, _dense_size, result_space_size
 
 # Largest strategy space the full (polytope-searching) protocol will touch.
 STRATEGY_CAP = 2**20
@@ -43,15 +44,19 @@ def enumerate_strategies(scenario: Scenario) -> np.ndarray:
     return digits.reshape(h, l, s)
 
 
+@functools.lru_cache(maxsize=1)
 def strategy_result_indices(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """Sparse support of every strategy distribution.
 
     Returns ``(indices, weights)`` where ``indices[h, j]`` is the encoded
     result produced by strategy h under joint setting j and ``weights[j]`` is
     that setting's probability; strategy h's distribution puts ``weights[j]``
-    on ``indices[h, j]`` and nothing elsewhere.
+    on ``indices[h, j]`` and nothing elsewhere.  Both arrays are read-only, built
+    once per scenario object and shared; only the latest scenario's map is kept.
     """
-    return _result_indices(scenario, enumerate_strategies(scenario)), scenario.setting_distribution.copy()
+    indices = _result_indices(scenario, enumerate_strategies(scenario))
+    indices.flags.writeable = False
+    return indices, scenario.setting_distribution
 
 
 def _result_indices(scenario: Scenario, strategies: np.ndarray) -> np.ndarray:
@@ -86,13 +91,22 @@ def mixture_distribution(scenario: Scenario, weights: np.ndarray) -> Distributio
         raise ValueError(f"weights must have length {h}")
     if not (np.all(lam >= 0.0) and abs(float(lam.sum()) - 1.0) <= 1e-10):
         raise ValueError("weights must be non-negative and sum to 1 within 1e-10")
+    return Distribution(scenario, _mixture_probs(scenario, lam))
+
+
+def _mixture_probs(scenario: Scenario, lam: np.ndarray) -> np.ndarray:
+    """Result probabilities of the strategy mixture with weights lam."""
     indices, w = strategy_result_indices(scenario)
-    return Distribution(scenario, _mixture_probs(indices, w, lam, result_space_size(scenario)))
+    return np.bincount(indices.ravel(), weights=(lam[:, None] * w[None, :]).ravel(), minlength=result_space_size(scenario))
 
 
-def _mixture_probs(indices: np.ndarray, setting_w: np.ndarray, lam: np.ndarray, k: int) -> np.ndarray:
-    """Result probabilities of the strategy mixture lam, from the index map of :func:`strategy_result_indices`."""
-    return np.bincount(indices.ravel(), weights=(lam[:, None] * setting_w[None, :]).ravel(), minlength=k)
+def _support_table(scenario: Scenario, support: np.ndarray) -> np.ndarray:
+    """Dense (strategies x support) table: the probability each strategy gives each listed result."""
+    indices, w = strategy_result_indices(scenario)
+    if len(indices) * support.size > ENUMERATION_CAP:
+        raise SizeLimitError(f"strategy table {len(indices)} x {support.size} exceeds {ENUMERATION_CAP} entries")
+    joint = support // scenario.n_joint_outcomes  # the joint setting of each listed result
+    return (np.take(indices, joint, axis=1) == support) * w[joint]  # np.take keeps it row-major: column-major rounds differently
 
 
 def vertex_expectations(scenario: Scenario, values: np.ndarray) -> np.ndarray:

@@ -17,12 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeLimitError
-from .lrpolytope import _mixture_probs, strategy_result_indices
-from .scenario import Distribution, _check_same_scenario
-
-# Dense (strategies x support) work arrays are capped at this many entries.
-PROJECTION_TABLE_CAP = 2**24
+from .lrpolytope import _mixture_probs, _require_within_caps, _support_table
+from .scenario import Distribution, Scenario, _check_same_scenario
 
 # Fewer rows than this are solved one at a time, faster than in lockstep.
 LOCKSTEP_ROWS = 8
@@ -238,37 +234,28 @@ def kl_project_lr(q: Distribution, controls: OptimizerControls = DEFAULT_CONTROL
     which also bounds how far the ratio ``q / p`` can sit above LR
     expectation 1 under any strategy.
     """
-    indices, setting_w = strategy_result_indices(q.scenario)
-    lam, probs, div, iterations, converged = _project_rows(q.probs[None], indices, setting_w, controls)
+    lam, probs, div, iterations, converged = _project_rows(q.probs[None], q.scenario, controls)
     projection = Distribution(q.scenario, probs[0])
     return LRProjection(lam[0], projection, float(div[0]), int(iterations[0]), bool(converged[0]))
 
 
-def _project_rows(freq: np.ndarray, indices: np.ndarray, setting_w: np.ndarray, controls: OptimizerControls):
-    """:func:`kl_project_lr` of each probability row of ``freq``, given the map of :func:`strategy_result_indices`.
+def _project_rows(freq: np.ndarray, scenario: Scenario, controls: OptimizerControls):
+    """:func:`kl_project_lr` of each probability row of ``freq``, a (runs, K) array over ``scenario``'s results.
 
     Rows with one support share one vertex table and one update loop.
     Returns per-row ``(mixture, probabilities, divergence, evaluations, converged)``.
     """
-    (runs, k), h = freq.shape, indices.shape[0]
+    runs, h = len(freq), _require_within_caps(scenario)
     lam, neg_div = np.full((runs, h), 1.0 / h), np.full(runs, -math.inf)
     iterations, converged = np.zeros(runs, dtype=np.int64), np.ones(runs, dtype=bool)
     supports, group = np.unique(freq > 0.0, axis=0, return_inverse=True)
     for g, support in enumerate(supports):
-        support = np.flatnonzero(support)
-        if h * support.size > PROJECTION_TABLE_CAP:
-            raise SizeLimitError(f"projection work table {h} x {support.size} exceeds {PROJECTION_TABLE_CAP} entries")
-        # dense (H x support) vertex table, built from the sparse index map
-        col_of = np.full(k, -1, dtype=np.int64)
-        col_of[support] = np.arange(support.size)
-        e_sup = np.zeros((h, support.size))
-        rows, cols = np.nonzero(col_of[indices] >= 0)
-        e_sup[rows, col_of[indices[rows, cols]]] += setting_w[cols]
+        e_sup = _support_table(scenario, np.flatnonzero(support))
         if np.all(e_sup.max(axis=0) > 0.0):  # else some observed result is impossible under every strategy
             # maximize minus the divergence, summed as q log2(q / p)
             sel = np.flatnonzero(group == g)
             lam[sel], neg_div[sel], iterations[sel], converged[sel] = _multiplicative_update(
                 e_sup.T, freq[np.ix_(sel, support)], lam[sel], lambda f, mix, ratio: -_dots(f, np.log2(ratio)), controls
             )
-    probs = np.array([_mixture_probs(indices, setting_w, row, k) for row in lam])
+    probs = np.array([_mixture_probs(scenario, row) for row in lam])
     return lam, probs / probs.sum(axis=1, keepdims=True), -neg_div, iterations, converged

@@ -23,7 +23,7 @@ import numpy as np
 
 from .functionals import Functional, StandardizedFunctional, _function_columns, expectation
 from .gainrates import gain_martingale, gain_spbr, optimal_gain
-from .lrpolytope import strategy_result_indices
+from .lrpolytope import _require_within_caps, vertex_expectations
 from .optim import DEFAULT_CONTROLS, OptimizerControls, _project_rows, maximize_log_gain
 from .scenario import Distribution, Scenario, _dense_size, _encoded
 
@@ -247,18 +247,18 @@ class FullPbrAnalysis(BlockAnalysis):
     """Polytope-projection protocol: the table is the frequency/projection ratio.
 
     Before each block (the first uses the constant ratio 1), the empirical
-    frequencies of all preceding trials, optionally floored by a uniform
-    mixture, are projected onto the LR polytope; the per-trial ratio is the
-    frequency over its projection.  Ratios are rescaled whenever any
-    deterministic strategy would give them an expectation above 1, so validity
-    never depends on the projection's numerical precision.
+    frequencies of all preceding trials, optionally floored by the mixture uniform
+    over the results of the joint settings of positive probability, are projected
+    onto the LR polytope; the per-trial ratio is the frequency over its projection.
+    Ratios are rescaled whenever any deterministic strategy would give them an
+    expectation above 1, so validity never depends on the projection's precision.
 
     Args:
         scenario: the (small) scenario; the strategy and result caps apply.
         block_size: trials per projection refresh.
         controls: optimizer budget for the projections.
-        floor: uniform-mixture weight mixed into the frequencies (keeps the
-            ratio positive on never-observed results).
+        floor: weight of that uniform mixture in the frequencies (keeps the
+            ratio positive on never-observed possible results).
     """
 
     refit_name = "projection"
@@ -272,22 +272,23 @@ class FullPbrAnalysis(BlockAnalysis):
     ):
         if not 0.0 <= floor < 1.0:
             raise ValueError("floor must lie in [0, 1)")
-        k = _dense_size(scenario)
+        self.scenario = scenario
         self.controls = controls
         self.floor = floor
-        self._indices, self._setting_w = strategy_result_indices(scenario)
-        super().__init__(block_size, np.ones(k))
-        self._pass_blocks = max(PASS_ENTRIES // len(self._indices), 1)  # a projection holds H >= K weights per block
+        super().__init__(block_size, np.ones(_dense_size(scenario)))
+        possible = np.repeat(scenario.setting_distribution > 0.0, scenario.n_joint_outcomes)
+        self._floor_table = floor * possible / possible.sum()
+        self._pass_blocks = max(PASS_ENTRIES // _require_within_caps(scenario), 1)  # a projection holds H >= K weights per block
 
     def _predict(self, counts, n):
-        freq = (1.0 - self.floor) * (counts / n[:, None]) + self.floor / self.table.size
+        freq = (1.0 - self.floor) * (counts / n[:, None]) + self._floor_table
         # a cold start leaves every strategy reachable; convergence keeps the
         # rescue rescale below log2(1 + rel_tolerance) bits per trial
-        _, p, _, _, converged = _project_rows(freq, self._indices, self._setting_w, self.controls)
+        _, p, _, _, converged = _project_rows(freq, self.scenario, self.controls)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(p > 0.0, freq / np.where(p > 0.0, p, 1.0), 0.0)
         # cap the worst-case LR expectation of the ratio at exactly 1
-        worst = np.array([(row[self._indices] @ self._setting_w).max() for row in ratio])
+        worst = np.array([vertex_expectations(self.scenario, row).max() for row in ratio])
         return ratio / np.where(worst > 1.0, worst, 1.0)[:, None], converged
 
     @property
@@ -388,3 +389,8 @@ def select_protocols(names: Sequence[str], block_size: int) -> dict[str, Protoco
         if name not in PROTOCOLS:
             raise ValueError(f"unknown protocol {name!r} (expected one of {tuple(PROTOCOLS)})")
     return {name: PROTOCOLS[name] for name in names}
+
+
+def _run_selection(names: Sequence[str], trials: np.ndarray, functions, block_size, controls, floor) -> dict:
+    """The analyses of one array of encoded trials by each protocol that :func:`select_protocols` selects, by name."""
+    return {name: p.run(trials, functions, block_size, controls, floor) for name, p in select_protocols(names, block_size).items()}

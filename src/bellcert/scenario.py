@@ -266,6 +266,8 @@ def read_trials(path: str | Path, scenario: Scenario) -> np.ndarray:
                 except json.JSONDecodeError as exc:
                     raise TrialFormatError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
                 if lineno == 1 and isinstance(obj, dict) and "scenario" in obj:
+                    if "settings" in obj or "outcomes" in obj:
+                        raise TrialFormatError(f"{path}: line 1: a scenario header must not carry 'settings' or 'outcomes'")
                     _check_same_scenario(scenario_from_json(obj["scenario"]), scenario, f"{path}: line 1")
                     continue
                 if not isinstance(obj, dict) or "settings" not in obj or "outcomes" not in obj:

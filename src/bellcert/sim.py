@@ -15,7 +15,7 @@ import numpy as np
 
 from .functionals import build_function_set
 from .optim import DEFAULT_CONTROLS, OptimizerControls
-from .protocols import DEFAULT_BLOCK, DEFAULT_FLOOR, PROTOCOLS, select_protocols
+from .protocols import DEFAULT_BLOCK, DEFAULT_FLOOR, PROTOCOLS, _run_selection, select_protocols
 from .scenario import Distribution
 
 # Algorithm identifier of the random source, recorded in every report header.
@@ -61,21 +61,21 @@ class ExperimentResult:
     rates: dict = field(default_factory=dict)
 
 
+def _seed_runs(plan: SimulationPlan, seeds: Sequence[int]):
+    """Yields ``(seed, functions, analyses)``: the plan's protocols on one sample per seed, with one function set."""
+    functions = build_function_set(plan.function_names, plan.source.scenario)
+    for seed in map(int, seeds):
+        encoded = sample_encoded(plan.source, plan.n_trials, seed)
+        yield seed, functions, _run_selection(plan.protocols, encoded, functions, plan.block_size, plan.controls, plan.floor)
+
+
 def run_experiment(plan: SimulationPlan, out_dir: str | Path | None = None, per_block: bool = False) -> ExperimentResult:
     """Sample one sequence and feed it to every requested protocol.
 
     Writes per-protocol running reports (and the asymptote table) under
     ``out_dir`` when given.  Identical plans produce byte-identical reports.
     """
-    q = plan.source
-    functions = build_function_set(plan.function_names, q.scenario)
-    encoded = sample_encoded(q, plan.n_trials, plan.seed)
-    result = ExperimentResult(plan=plan)
-    for name in plan.protocols:
-        protocol = PROTOCOLS[name]
-        result.analyses[name] = protocol.run(encoded, functions, plan.block_size, plan.controls, plan.floor)
-        result.rates[name] = protocol.rate(q, functions, plan.controls)
-
+    [result] = run_seed_sweep(plan, [plan.seed])
     if out_dir is not None:
         write_reports(result, out_dir, per_block=per_block)
     return result
@@ -129,8 +129,11 @@ def write_reports(result: ExperimentResult, out_dir: str | Path, per_block: bool
 
 
 def run_seed_sweep(plan: SimulationPlan, seeds: Sequence[int], out_dir: str | Path | None = None) -> list[ExperimentResult]:
-    """Run the same plan under many seeds; optionally write a per-seed summary table."""
-    results = [run_experiment(replace(plan, seed=int(seed))) for seed in seeds]
+    """Run the same plan under many seeds, sharing one function set and rate table; optionally write a per-seed summary table."""
+    results = []
+    for seed, functions, analyses in _seed_runs(plan, seeds):
+        rates = results[0].rates if results else {p: PROTOCOLS[p].rate(plan.source, functions, plan.controls) for p in plan.protocols}
+        results.append(ExperimentResult(replace(plan, seed=seed), analyses, rates))
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -161,13 +164,7 @@ def validity_exceedance(
     """
     if n_seeds < 1 or n_trials < 1:
         raise ValueError(f"need n_seeds >= 1 and n_trials >= 1, got {n_seeds} and {n_trials}")
-    functions = build_function_set((), q_lr.scenario)
-    counts = {p: {float(a): 0 for a in alphas} for p in PROTOCOLS}
-    for i in range(n_seeds):
-        encoded = sample_encoded(q_lr, n_trials, base_seed + i)
-        for protocol, entry in PROTOCOLS.items():
-            p_final = entry.run(encoded, functions, block_size, VALIDITY_CONTROLS, DEFAULT_FLOOR).pvalue
-            for a in counts[protocol]:
-                if p_final <= a:
-                    counts[protocol][a] += 1
-    return {p: {a: c / n_seeds for a, c in table.items()} for p, table in counts.items()}
+    plan = SimulationPlan(q_lr, n_trials, base_seed, block_size=block_size, controls=VALIDITY_CONTROLS)
+    runs = _seed_runs(plan, range(base_seed, base_seed + n_seeds))
+    finals = [{p: a.pvalue for p, a in analyses.items()} for _, _, analyses in runs]
+    return {p: {float(a): sum(f[p] <= a for f in finals) / n_seeds for a in alphas} for p in plan.protocols}

@@ -363,16 +363,19 @@ def run_full_pbr_reference(trials, indices, setting_w, k, block_size, floor, pro
 
     ``project(freq)`` returns ``(projected probabilities, converged)`` for one
     floored frequency table over the ``k`` results (one ``kl_project_lr``
-    call), and ``(indices, setting_w)`` is the strategy index map.  Returns
-    ``(history, log2_t, flags)``; history rows are ``(n, log2 T, p-value)``.
+    call), and ``(indices, setting_w)`` is the strategy index map.  The floor
+    is spread evenly over the results of the joint settings of positive
+    probability.  Returns ``(history, log2_t, flags)``; history rows are
+    ``(n, log2 T, p-value)``.
     """
+    possible = np.repeat(setting_w > 0.0, k // setting_w.size)
     counts, table, total = np.zeros(k, dtype=np.int64), np.ones(k), 0.0
     totals, flags = [], []
     for start in range(0, len(trials), block_size):
         if start:
             freq = counts / start
             if floor > 0.0:
-                freq = (1.0 - floor) * freq + floor / k
+                freq = (1.0 - floor) * freq + floor * possible / possible.sum()
             p, converged = project(freq)
             if not converged:
                 flags.append(f"projection before trial {start + 1} hit the iteration budget")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from bellcert import (
     Scenario,
     build_function_set,
     read_distribution,
+    write_distribution,
     run_simplified_pbr,
     sample_encoded,
     write_trials,
@@ -497,3 +499,27 @@ def test_empty_name_lists_and_missing_defaults_name_the_option(tmp_path, capsys,
     write_trials(other, sc, np.zeros(10, dtype=np.int64))
     assert main(["analyze", str(other), "--scenario", "2,3,2"]) == 2
     assert "--functions" in capsys.readouterr().err
+
+
+def test_fpbr_keeps_its_evidence_when_a_joint_setting_is_impossible(tmp_path, capsys, zero_setting_q):
+    # a floor on the unreachable results of setting (3, 3) would make every projection impossible
+    path = tmp_path / "zero_setting.json"
+    write_distribution(path, zero_setting_q)
+    argv = ["simulate", "--dist", str(path), "--functions", "trivial", "--protocol", "fpbr",
+            "--trials", "20000", "--block", "500", "--seed", "1"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert float(re.search(r"neg_log2_p=(\S+)", out).group(1)) > 400
+
+
+@pytest.mark.parametrize(
+    "first, code",
+    [('{"scenario":{"l":2,"s":2,"d":2}}', 0), ('{"scenario":{"l":2,"s":2,"d":2},"settings":[1,1],"outcomes":[0,0]}', 2)],
+    ids=["header", "header-and-record"],
+)
+def test_a_first_line_is_a_header_or_a_record_not_both(tmp_path, capsys, first, code):
+    path = tmp_path / "trials.jsonl"
+    path.write_text(first + '\n{"settings":[1,2],"outcomes":[0,1]}\n')
+    assert main(["analyze", str(path), "--scenario", "2,2,2", "--protocol", "mart"]) == code
+    captured = capsys.readouterr()
+    assert "protocol=mart n=1 " in captured.out if code == 0 else "line 1" in captured.err

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bellcert.scenario
+from bellcert import lrpolytope
 from bellcert import (
     Functional,
     Scenario,
@@ -393,3 +394,11 @@ def test_every_table_obeys_the_dense_cap(monkeypatch):
     for build in builders:
         with pytest.raises(SizeLimitError, match="exceeds the cap 64"):
             build()
+
+
+def test_a_catalog_builds_the_strategy_map_once(monkeypatch):
+    # 144 witnesses, each checked against the vertices of one 4,096-strategy polytope
+    calls, enumerate_strategies = [], lrpolytope.enumerate_strategies
+    monkeypatch.setattr(lrpolytope, "enumerate_strategies", lambda sc: calls.append(sc) or enumerate_strategies(sc))
+    functions = build_function_set(["nosignaling"], Scenario(2, 3, 4))
+    assert len(functions) == 145 and len(calls) == 1

@@ -92,6 +92,16 @@ def test_strategy_result_indices_consistency(cglmp3_scenario):
         assert np.allclose(probs, dist.probs, atol=1e-14)
 
 
+def test_strategy_result_indices_are_read_only_and_shared():
+    scenario = Scenario(2, 2, 3)
+    indices, weights = strategy_result_indices(scenario)
+    for array in (indices, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    again = strategy_result_indices(scenario)
+    assert again[0] is indices and again[1] is weights is scenario.setting_distribution
+
+
 def test_mixture_point_mass(chsh_scenario):
     lam = np.zeros(16)
     lam[3] = 1.0

@@ -398,7 +398,7 @@ def test_run_axis_projection_rows_equal_single_solves(cglmp3_q, budget):
     supports = [tuple(f > 0.0) for f in freq]
     assert len(set(supports)) > 2 and max(map(supports.count, supports)) >= LOCKSTEP_ROWS
     indices, setting_w = strategy_result_indices(cglmp3_q.scenario)
-    lam, probs, div, evaluations, converged = _project_rows(freq, indices, setting_w, controls)
+    lam, probs, div, evaluations, converged = _project_rows(freq, cglmp3_q.scenario, controls)
     for i, f in enumerate(freq):
         one = kl_project_lr(Distribution(cglmp3_q.scenario, f, empirical=True), controls)
         assert np.array_equal(lam[i], one.mixture) and np.array_equal(probs[i], one.distribution.probs)
@@ -415,7 +415,7 @@ def test_run_axis_unreachable_rows_keep_uniform_weights():
     reachable = np.r_[np.full(12, 1.0 / 12.0), np.zeros(4)]
     skewed = np.r_[np.linspace(1.0, 2.0, 12) / np.linspace(1.0, 2.0, 12).sum(), np.zeros(4)]
     freq = np.array([np.full(16, 1.0 / 16.0), reachable, np.r_[np.zeros(15), 1.0], skewed])
-    lam, probs, div, evaluations, converged = _project_rows(freq, indices, setting_w, DEFAULT_CONTROLS)
+    lam, probs, div, evaluations, converged = _project_rows(freq, scenario, DEFAULT_CONTROLS)
     for i, f in enumerate(freq):
         reference = kl_project_lr_squarem_reference(f, indices, setting_w)
         assert np.array_equal(lam[i], reference[0]) and np.array_equal(probs[i], reference[1])

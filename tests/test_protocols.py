@@ -352,10 +352,10 @@ def test_chunked_extend_matches_one_call(chsh_q, protocol):
 
 @pytest.mark.parametrize("budget", [5, 50, None])
 @pytest.mark.parametrize("floor", [1e-9, 0.0])
-@pytest.mark.parametrize("config", ["chsh", "cglmp:3"])
-def test_fpbr_one_pass_projections_match_per_block_calls(chsh_q, cglmp3_q, config, floor, budget):
+@pytest.mark.parametrize("config", ["chsh", "cglmp:3", "zero-setting"])
+def test_fpbr_one_pass_projections_match_per_block_calls(chsh_q, cglmp3_q, zero_setting_q, config, floor, budget):
     # all projections of a pass are one run-axis solve; the reference makes one kl_project_lr call per block
-    q = chsh_q if config == "chsh" else cglmp3_q
+    q = {"chsh": chsh_q, "cglmp:3": cglmp3_q, "zero-setting": zero_setting_q}[config]
     controls = OptimizerControls() if budget is None else OptimizerControls(max_iterations=budget)
     block = 25
     enc = sample_encoded(q, 400, seed=3)

@@ -17,6 +17,7 @@ from bellcert import (
     uniform_outcome_distribution,
     validity_exceedance,
 )
+from bellcert import protocols, sim
 from bellcert.protocols import DEFAULT_FLOOR, PROTOCOLS
 from bellcert.sim import REPORT_CHUNK, VALIDITY_CONTROLS, write_report
 
@@ -109,6 +110,19 @@ def test_seed_sweep_summary(tmp_path, cglmp3_q):
     lines = (tmp_path / "seed_summary.csv").read_text().splitlines()
     assert lines[1] == "seed,neg_log2_p_mart,neg_log2_p_spbr"
     assert len(lines) == 2 + 3
+
+
+def test_seed_sweep_builds_the_function_set_and_rates_once(monkeypatch, chsh_q):
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    monkeypatch.setattr(sim, "build_function_set", counted("functions", sim.build_function_set))
+    monkeypatch.setattr(protocols, "optimal_gain", counted("fpbr rate", protocols.optimal_gain))
+    results = run_seed_sweep(SimulationPlan(chsh_q, n_trials=60, seed=0, block_size=20), seeds=range(3))
+    assert sorted(calls) == ["fpbr rate", "functions"]
+    assert [r.plan.seed for r in results] == [0, 1, 2] and all(r.rates is results[0].rates for r in results)
 
 
 def test_validity_exceedance_smoke(chsh_scenario):

@@ -1,0 +1,72 @@
+#!/usr/bin/env bash
+# Byte-identity gate: run one fixed list of bellcert commands against two source trees
+# and report any difference in stdout, stderr or written files.
+#
+#     tools/same_outputs.sh OLD_TREE NEW_TREE
+#
+# Each tree is a checkout of this repository; its own src/ goes on PYTHONPATH.
+# Inputs come from NEW_TREE's perfbench/ (the analyze_chsh_ns trial file at
+# workload seed 1), so both trees read the same bytes.  Every command runs with
+# one BLAS thread and PYTHONHASHSEED=0.  Each tree's output directory is
+# replaced by OUT in the captured text before the comparison.  Exits 0 when
+# every output matches, 1 on any difference, 2 on a usage error.
+set -euo pipefail
+
+if [ $# -ne 2 ] || [ ! -d "$1/src/bellcert" ] || [ ! -d "$2/src/bellcert" ]; then
+    echo "usage: $0 OLD_TREE NEW_TREE (each a checkout with src/bellcert)" >&2
+    exit 2
+fi
+old=$(cd "$1" && pwd)
+new=$(cd "$2" && pwd)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+export PYTHONHASHSEED=0 OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1
+
+mkdir -p "$work/input"
+python3 - "$new/perfbench" "$work/input/trials.jsonl" <<'EOF'
+import sys
+sys.path.insert(0, sys.argv[1])
+import inputs
+inputs.write_trial_file(sys.argv[2], inputs.sample_chsh_indices(200_000, 1))
+EOF
+trials="$work/input/trials.jsonl"
+
+# name|arguments of bellcert.cli; @OUT@ stands for the command's own output directory
+commands=(
+    "analyze_chsh_ns|analyze $trials --scenario 2,2,2 --functions chsh,nosignaling --protocol mart,spbr --block 154 --out @OUT@"
+    "simulate_cglmp3|simulate --config cglmp:3 --trials 10000 --block 154 --protocol mart,spbr,fpbr --out @OUT@"
+    "fpbr_spbr_chsh|simulate --config chsh:0.6 --trials 2000 --protocol fpbr,spbr --floor 0 --block 9 --max-iter 50"
+    "fpbr_cglmp4|simulate --config cglmp:4 --trials 3000 --block 50 --protocol fpbr"
+    "seed_sweep|simulate --config cglmp:3 --trials 2000 --seeds 3 --out @OUT@"
+    "gain_chsh|gain --sweep chsh --with-sq"
+    "gain_cglmp|gain --sweep cglmp --with-sq"
+    "catalog|catalog --scenario 2,2,3"
+)
+
+run_tree() {
+    local tree=$1 side=$2 entry name args out
+    for entry in "${commands[@]}"; do
+        name=${entry%%|*}
+        out="$work/$side/$name/out"
+        args=${entry#*|}
+        mkdir -p "$work/$side/$name"
+        # shellcheck disable=SC2086  # the argument list is split on purpose
+        PYTHONPATH="$tree/src" python3 -m bellcert.cli ${args//@OUT@/$out} \
+            >"$work/$side/$name/stdout" 2>"$work/$side/$name/stderr" || echo "exit $?" >"$work/$side/$name/exit"
+    done
+    mkdir -p "$work/$side/validity"
+    PYTHONPATH="$tree/src" python3 "$new/perfbench/validity_driver.py" --seeds 40 --base-seed 0 \
+        >"$work/$side/validity/stdout" 2>"$work/$side/validity/stderr"
+    # the output paths differ between the two sides; name them alike
+    find "$work/$side" -type f \( -name stdout -o -name stderr \) -exec sed -i "s|$work/$side/[^/]*/out|OUT|g" {} +
+}
+
+run_tree "$old" old
+run_tree "$new" new
+if diff -r "$work/old" "$work/new"; then
+    echo "same outputs: $(find "$work/new" -type f | wc -l) files identical"
+else
+    echo "outputs differ" >&2
+    exit 1
+fi
