@@ -31,6 +31,7 @@ from .functionals import (
 from .gainrates import GainReport, gain_curve, gain_martingale, gain_spbr, optimal_gain
 from .lrpolytope import (
     enumerate_strategies,
+    lr_maximum,
     mixture_distribution,
     strategy_count,
     strategy_distribution,

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ScenarioMismatchError, StandardizationError, TrialFormatError, UnknownFunctionalError
-from .lrpolytope import STRATEGY_CAP, strategy_count, vertex_expectations
+from .lrpolytope import lr_maximum
 from .scenario import Distribution, Scenario, _check_same_scenario, _dense_size, _frozen
 from .scenario import _json_numbers, scenario_from_json
 
@@ -32,10 +32,8 @@ def _freeze_table(f: Functional | StandardizedFunctional) -> np.ndarray:
 
 
 def _lr_maximum_above(scenario: Scenario, table: np.ndarray, bound: float) -> float | None:
-    """The table's LR maximum where it exceeds ``bound`` beyond 1e-9 of its largest |value|; else (or unenumerable) None."""
-    if strategy_count(scenario) > STRATEGY_CAP:
-        return None
-    top = float(vertex_expectations(scenario, table).max())
+    """The table's LR maximum where it exceeds ``bound`` beyond 1e-9 of its largest |value|, else None."""
+    top = float(lr_maximum(scenario, table[None])[0])
     return top if bound < top - 1e-9 * float(np.abs(table).max()) else None
 
 
@@ -45,7 +43,7 @@ class Functional:
 
     ``table`` holds the K values ordered by the result encoding, so evaluating
     a trial is one lookup at its encoded index.  A non-finite bound raises ValueError, and one
-    below the table's LR maximum, where enumerable, :class:`ScenarioMismatchError`.
+    below the table's LR maximum :class:`ScenarioMismatchError`.
     """
 
     name: str
@@ -71,7 +69,7 @@ class StandardizedFunctional:
     """The r-form of a functional: non-negative, LR expectation at most 1, tabulated like its source.
 
     The all-ones table is the trivial function.  A table with a ``source`` must be exactly its
-    standardized table; any other must be non-negative with LR maximum at most 1 where enumerable.
+    standardized table; any other must be non-negative with LR maximum at most 1.
     """
 
     name: str

@@ -35,13 +35,32 @@ def _require_within_caps(scenario: Scenario) -> int:
 
 def enumerate_strategies(scenario: Scenario) -> np.ndarray:
     """All strategies as an (H, l, s) outcome table, in mixed-radix order."""
-    h = _require_within_caps(scenario)
+    return _strategies(scenario, np.arange(_require_within_caps(scenario), dtype=np.int64), scenario.parties)
+
+
+def _strategies(scenario: Scenario, idx: np.ndarray, parties: int) -> np.ndarray:
+    """(n, l, s) outcome tables: the first ``parties`` parties play the strategies of mixed-radix index ``idx``, the rest 0."""
     l, s, d = scenario.parties, scenario.settings_per_party, scenario.outcomes_per_setting
-    idx = np.arange(h, dtype=np.int64)
-    digits = np.empty((h, l * s), dtype=np.int64)
-    for pos in range(l * s):
-        digits[:, pos] = (idx // d ** (l * s - 1 - pos)) % d
-    return digits.reshape(h, l, s)
+    digits = np.zeros((idx.size, l * s), dtype=np.int64)
+    for pos in reversed(range(parties * s)):
+        idx, digits[:, pos] = np.divmod(idx, d)
+    return digits.reshape(-1, l, s)
+
+
+def lr_maximum(scenario: Scenario, tables: np.ndarray) -> np.ndarray:
+    """LR maximum of each row of a (rows, K) table stack: the last party's best reply, setting by setting, to each of the
+    others' d^((l-1)s) strategies (SizeLimitError above STRATEGY_CAP), in chunks of at most STRATEGY_CAP gathered values."""
+    l, s, d = scenario.parties, scenario.settings_per_party, scenario.outcomes_per_setting
+    g, tables = d ** ((l - 1) * s), np.asarray(tables, dtype=float)
+    if g > STRATEGY_CAP:
+        raise SizeLimitError(f"{g} strategies of parties 1..{l - 1} exceed the cap {STRATEGY_CAP}")
+    step, top = max(STRATEGY_CAP // (len(tables) * s**l * d), 1), np.full(len(tables), -np.inf)
+    for start in range(0, g, step):
+        codes = _result_indices(scenario, _strategies(scenario, np.arange(start, min(start + step, g)), l - 1))
+        values = tables[:, codes[..., None] + np.arange(d)] * scenario.setting_distribution[:, None]  # + the last outcome digit
+        replies = values.reshape(len(tables), len(codes), -1, s, d).sum(axis=2).max(axis=3).sum(axis=2)  # axis 3: last setting
+        top = np.maximum(top, replies.max(axis=1))
+    return top
 
 
 @functools.lru_cache(maxsize=1)

@@ -93,14 +93,15 @@ class BlockAnalysis:
     their (blocks, K) score tables and a per-block flag, False where the refit
     hit the iteration budget.  Trials arrive through :meth:`extend` as int64
     encoded result indices, in chunks of any size; the history does not depend
-    on the chunking.
+    on the chunking.  A result at a joint setting of probability 0 is refused.
     """
 
     statistic_name = "log2_T"
 
-    def __init__(self, block_size: int, table: np.ndarray):
+    def __init__(self, scenario: Scenario, block_size: int, table: np.ndarray):
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
+        self.scenario, self.possible = scenario, np.repeat(scenario.setting_distribution > 0.0, scenario.n_joint_outcomes)
         self.block_size = block_size
         self.table = table
         self.n = 0
@@ -127,6 +128,9 @@ class BlockAnalysis:
         """
         k, size = self.table.size, min(self.block_size, sys.maxsize)  # no run reaches sys.maxsize trials
         enc = _encoded(trials, k)
+        if not self.possible[enc].all():
+            t = int(np.argmin(self.possible[enc]))  # the first impossible result
+            raise ValueError(f"trial {self.n + t + 1}: result {enc[t]} is at a joint setting of probability 0")
         while enc.size:
             first = self.n // size  # the block of the pass's first trial
             cut = (first + self._pass_blocks) * size - self.n
@@ -190,7 +194,7 @@ class MartingaleAnalysis(BlockAnalysis):
         if not b < bound < a:
             raise ValueError(f"need inf_b < bound_B < sup_a, got {b}, {bound}, {a}")
         self.functional = functional
-        super().__init__(sys.maxsize, functional.table)
+        super().__init__(functional.scenario, sys.maxsize, functional.table)
 
     def _scores(self, values: np.ndarray) -> np.ndarray:
         return values
@@ -229,7 +233,7 @@ class SimplifiedPbrAnalysis(BlockAnalysis):
     ):
         self._r = _function_columns(functions)
         self.controls = controls
-        super().__init__(block_size, functions[0].table)
+        super().__init__(functions[0].scenario, block_size, functions[0].table)
 
     def _predict(self, counts, n):
         tables, fitted = np.empty(counts.shape), np.empty(n.size, dtype=bool)
@@ -272,12 +276,10 @@ class FullPbrAnalysis(BlockAnalysis):
     ):
         if not 0.0 <= floor < 1.0:
             raise ValueError("floor must lie in [0, 1)")
-        self.scenario = scenario
         self.controls = controls
         self.floor = floor
-        super().__init__(block_size, np.ones(_dense_size(scenario)))
-        possible = np.repeat(scenario.setting_distribution > 0.0, scenario.n_joint_outcomes)
-        self._floor_table = floor * possible / possible.sum()
+        super().__init__(scenario, block_size, np.ones(_dense_size(scenario)))
+        self._floor_table = floor * self.possible / self.possible.sum()
         self._pass_blocks = max(PASS_ENTRIES // _require_within_caps(scenario), 1)  # a projection holds H >= K weights per block
 
     def _predict(self, counts, n):

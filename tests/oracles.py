@@ -57,6 +57,18 @@ def enumerate_strategy_distributions(l, s, d, setting_probs=None):
     return np.array(rows)
 
 
+def embedded_chsh_table(s, d):
+    """(2, s, d) value table: the CHSH signs at settings 1-2 and outcomes 0-1, zero elsewhere.
+
+    Each entry is +-s^2, which undoes the uniform joint-setting probability 1/s^2, so the
+    LR maximum is the CHSH bound 2; the strategy "all outcomes 0" attains it.
+    """
+    table = np.zeros((s, s, d, d))
+    for x, y, a, b in itertools.product(range(2), repeat=4):
+        table[x, y, a, b] = s * s * (1 if a == b else -1) * (-1 if x == y == 1 else 1)
+    return table.reshape(-1)
+
+
 def golden_section_max(fn, lo, hi, iters=200):
     """Maximize a unimodal scalar function on [lo, hi]."""
     phi = (math.sqrt(5.0) - 1.0) / 2.0

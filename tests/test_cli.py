@@ -11,9 +11,11 @@ from bellcert import (
     write_distribution,
     run_simplified_pbr,
     sample_encoded,
+    strategy_distribution,
     write_trials,
 )
 from bellcert.cli import main
+from oracles import embedded_chsh_table
 
 
 @pytest.fixture()
@@ -343,6 +345,19 @@ def test_analyze_refuses_an_understated_functional_bound(tmp_path, capsys, trial
     rc = main(["analyze", str(path), "--scenario", "2,2,2", "--functions", f"file:{func_path}", "--protocol", "mart"])
     assert rc == 3
     assert f"{func_path}: declared bound B=1.5 is below the LR maximum 2" in capsys.readouterr().err
+
+
+def test_analyze_refuses_an_understated_bound_above_the_old_strategy_cap(tmp_path, capsys):
+    # (2, 3, 16) has 16^6 > 2^20 strategies and went unchecked: with B = 0 for this LR-maximum-2 table,
+    # mart and spbr certified these 2,000 trials of the LR strategy "all outcomes 0" at p = 1.9e-25 and 6.0e-55
+    sc = Scenario(2, 3, 16)
+    trials, func_path = tmp_path / "trials.jsonl", tmp_path / "embedded_chsh.json"
+    write_trials(trials, sc, sample_encoded(strategy_distribution(sc, np.zeros((2, 3), dtype=int)), 2000, seed=0))
+    values = list(embedded_chsh_table(3, 16))
+    func_path.write_text(json.dumps({"scenario": {"l": 2, "s": 3, "d": 16}, "B": 0.0, "values": values}))
+    argv = ["analyze", str(trials), "--scenario", "2,3,16", "--functions", f"file:{func_path}", "--protocol", "mart,spbr"]
+    assert main(argv) == 3
+    assert f"{func_path}: declared bound B=0 is below the LR maximum 2" in capsys.readouterr().err
 
 
 def test_analyze_mart_when_the_running_mean_rounds_past_its_range(tmp_path, capsys):

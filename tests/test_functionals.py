@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bellcert.scenario
@@ -31,7 +31,7 @@ from bellcert import (
 )
 from bellcert.functionals import resolve_catalog_name
 
-from oracles import enumerate_strategy_distributions, enumerate_strategy_expectations
+from oracles import embedded_chsh_table, enumerate_strategy_distributions, enumerate_strategy_expectations
 
 
 def _eval_on(f, settings, outcomes):
@@ -183,9 +183,13 @@ def test_hand_built_weighted_function_is_checked(chsh_scenario):
 
 
 def test_hand_built_weighted_function_without_strategy_enumeration():
-    # (2, 2, 33) has 33^4 > STRATEGY_CAP strategies: only the sign can be checked
+    # (2, 2, 33) has 33^4 > 2^20 strategies, once too many to check: the constant-5 table
+    # (LR maximum 5) passed, and spbr printed p = 5e-324 on uniform-outcome LR data.
+    # Party B's best reply to each of party A's 33^2 strategies gives the exact maximum.
     sc = Scenario(2, 2, 33)
-    StandardizedFunctional("r", sc, np.full(4356, 5.0))
+    with pytest.raises(StandardizationError, match="LR maximum <= 1"):
+        StandardizedFunctional("r", sc, np.full(4356, 5.0))
+    assert not StandardizedFunctional("r", sc, np.full(4356, 0.5)).is_trivial
     with pytest.raises(StandardizationError):
         StandardizedFunctional("r", sc, np.full(4356, -1.0))
 
@@ -337,6 +341,8 @@ def test_functional_file_bound_check_on_a_zero_maximum(tmp_path, chsh_scenario):
 
 
 SMALL_SCENARIOS = {(1, 2, 2): 4, (2, 2, 2): 16, (2, 2, 3): 36}
+# offsets from the LR maximum in units of max|t|, kept far from the tolerance edge at -1e-9
+OFFSETS = [-1.0, -1e-3, -1e-7, 0.0, 1e-7, 1.0]
 
 
 @st.composite
@@ -344,16 +350,21 @@ def tables_and_bounds(draw):
     lsd = draw(st.sampled_from(sorted(SMALL_SCENARIOS)))
     k = SMALL_SCENARIOS[lsd]
     table = np.array(draw(st.lists(st.floats(-5.0, 5.0, allow_subnormal=False), min_size=k, max_size=k)))
-    # offsets from the LR maximum in units of max|t|, kept far from the tolerance edge at -1e-9
-    offset = draw(st.sampled_from([-1.0, -1e-3, -1e-7, 0.0, 1e-7, 1.0]))
-    return lsd, table, offset
+    offset = draw(st.sampled_from(OFFSETS))
+    return lsd, table, float((enumerate_strategy_distributions(*lsd) @ table).max()), offset
+
+
+# (2, 3, 16) has 16^6 > 2^20 strategies, once too many to check: with B = 0 (offset -2/9) this table passed
+ABOVE_OLD_CAP = ((2, 3, 16), embedded_chsh_table(3, 16), 2.0)
 
 
 @settings(max_examples=80, deadline=None)
 @given(case=tables_and_bounds())
+@example(case=(*ABOVE_OLD_CAP, -2.0 / 9.0))
+@example(case=(*ABOVE_OLD_CAP, -1e-7))
+@example(case=(*ABOVE_OLD_CAP, 0.0))
 def test_functional_accepts_exactly_the_bounds_at_its_lr_maximum(case):
-    (l, s, d), table, offset = case
-    top = float((enumerate_strategy_distributions(l, s, d) @ table).max())
+    (l, s, d), table, top, offset = case
     scale = float(np.abs(table).max())
     bound = top + offset * scale
     if bound >= top - 1e-9 * scale:
@@ -396,9 +407,12 @@ def test_every_table_obeys_the_dense_cap(monkeypatch):
             build()
 
 
-def test_a_catalog_builds_the_strategy_map_once(monkeypatch):
-    # 144 witnesses, each checked against the vertices of one 4,096-strategy polytope
-    calls, enumerate_strategies = [], lrpolytope.enumerate_strategies
-    monkeypatch.setattr(lrpolytope, "enumerate_strategies", lambda sc: calls.append(sc) or enumerate_strategies(sc))
-    functions = build_function_set(["nosignaling"], Scenario(2, 3, 4))
-    assert len(functions) == 145 and len(calls) == 1
+def test_a_catalog_builds_no_strategy_map(monkeypatch):
+    # each of (2, 3, 4)'s 144 witnesses is checked by party B's best reply to party A's 64 strategies
+    def build(scenario):
+        raise AssertionError("a function set built the strategy map")
+
+    monkeypatch.setattr(lrpolytope, "strategy_result_indices", build)
+    monkeypatch.setattr(lrpolytope, "enumerate_strategies", build)
+    sizes = [len(build_function_set(catalog_names(sc), sc)) for sc in (Scenario(2, 2, 2), Scenario(2, 2, 3), Scenario(2, 3, 4))]
+    assert sizes == [19, 26, 145]

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bellcert import lrpolytope
 from bellcert import (
     Scenario,
     SizeLimitError,
@@ -16,6 +19,7 @@ from bellcert import (
     uniform_outcome_distribution,
     vertex_expectations,
 )
+from bellcert.lrpolytope import lr_maximum
 
 from oracles import enumerate_strategy_distributions
 
@@ -148,3 +152,36 @@ def test_mixture_weight_validation(chsh_scenario):
     bad[0] = -bad[0]
     with pytest.raises(ValueError):
         mixture_distribution(chsh_scenario, bad)
+
+
+@st.composite
+def value_stacks(draw):
+    """A scenario of at most 729 strategies, its settings often non-uniform with a zero entry, and a (rows, K) stack."""
+    l = draw(st.integers(1, 3))
+    s, d = draw(st.integers(1, (4, 3, 2)[l - 1])), draw(st.integers(1, (4, 3, 3)[l - 1]))
+    settings = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=s**l, max_size=s**l)))
+    if draw(st.booleans()):
+        settings[draw(st.integers(0, s**l - 1))] = 0.0
+    scenario = Scenario(l, s, d, settings / settings.sum() if settings.sum() > 0.1 else None)
+    rows, k = draw(st.integers(1, 3)), (d * s) ** l
+    values = draw(st.lists(st.floats(-5.0, 5.0, allow_subnormal=False), min_size=rows * k, max_size=rows * k))
+    return scenario, np.array(values).reshape(rows, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=value_stacks())
+def test_lr_maximum_is_the_largest_strategy_expectation(case):
+    scenario, tables = case
+    l, s, d = scenario.parties, scenario.settings_per_party, scenario.outcomes_per_setting
+    expected = (enumerate_strategy_distributions(l, s, d, scenario.setting_distribution) @ tables.T).max(axis=0)
+    assert np.all(np.abs(lr_maximum(scenario, tables) - expected) <= 1e-12 * np.abs(tables).max())
+
+
+def test_lr_maximum_cap_and_chunks(monkeypatch):
+    # with a cap of 8: (2, 2, 2)'s 4 strategies of party A are one per chunk, (2, 2, 3)'s 9 too many
+    monkeypatch.setattr(lrpolytope, "STRATEGY_CAP", 8)
+    tables = np.random.default_rng(3).normal(size=(2, 16))
+    expected = (enumerate_strategy_distributions(2, 2, 2) @ tables.T).max(axis=0)
+    assert np.allclose(lr_maximum(Scenario(2, 2, 2), tables), expected, rtol=0, atol=1e-12)
+    with pytest.raises(SizeLimitError, match="9 strategies of parties 1..1 exceed the cap 8"):
+        lr_maximum(Scenario(2, 2, 3), np.zeros((1, 36)))

@@ -386,9 +386,22 @@ def test_fpbr_pass_bounds_the_projection_rows(monkeypatch):
     monkeypatch.setattr(protocols, "_project_rows", lambda freq, *rest: rows.append(len(freq)) or project(freq, *rest))
     monkeypatch.setattr(protocols, "PASS_ENTRIES", 64 * 5)
     analysis = FullPbrAnalysis(scenario, 2, OptimizerControls(max_iterations=20))
-    assert analysis._pass_blocks == 5 < BlockAnalysis(2, analysis.table)._pass_blocks == 8
+    assert analysis._pass_blocks == 5 < BlockAnalysis(scenario, 2, analysis.table)._pass_blocks == 8
     analysis.extend(sample_encoded(uniform_outcome_distribution(scenario), 40, seed=1))
     assert rows == [4, 5, 5, 5] and len(analysis.history()) == 40
+
+
+def test_a_result_at_an_impossible_joint_setting_is_refused(zero_setting_q):
+    # one trial at setting (3, 3), of probability 0, made every later fpbr projection fail
+    # unflagged: log2 T fell from 489.92 to -4080.36
+    scenario = zero_setting_q.scenario
+    enc = sample_encoded(zero_setting_q, 20_000, seed=1)
+    enc[100] = encode_result(scenario, TrialResult((3, 3), (0, 1)))
+    for analysis in (FullPbrAnalysis(scenario, 500), SimplifiedPbrAnalysis([trivial_standardized(scenario)], 500)):
+        analysis.extend(enc[:100])
+        with pytest.raises(ValueError, match="trial 101: result 33 is at a joint setting of probability 0"):
+            analysis.extend(enc[100:])
+        assert analysis.n == 100
 
 
 # Final values with refits that stop on the KKT gap 1e-8 (fpbr projecting from a

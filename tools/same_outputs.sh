@@ -41,6 +41,7 @@ commands=(
     "seed_sweep|simulate --config cglmp:3 --trials 2000 --seeds 3 --out @OUT@"
     "gain_chsh|gain --sweep chsh --with-sq"
     "gain_cglmp|gain --sweep cglmp --with-sq"
+    "gain_cglmp32|gain --config cglmp:32"
     "catalog|catalog --scenario 2,2,3"
 )
 
