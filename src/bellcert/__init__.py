@@ -36,7 +36,6 @@ from .lrpolytope import (
     strategy_count,
     strategy_distribution,
     strategy_result_indices,
-    vertex_expectations,
 )
 from .optim import (
     GainOptimum,

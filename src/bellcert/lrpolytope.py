@@ -51,9 +51,13 @@ def lr_maximum(scenario: Scenario, tables: np.ndarray) -> np.ndarray:
     """LR maximum of each row of a (rows, K) table stack: the last party's best reply, setting by setting, to each of the
     others' d^((l-1)s) strategies (SizeLimitError above STRATEGY_CAP), in chunks of at most STRATEGY_CAP gathered values."""
     l, s, d = scenario.parties, scenario.settings_per_party, scenario.outcomes_per_setting
-    g, tables = d ** ((l - 1) * s), np.asarray(tables, dtype=float)
+    g, k, tables = d ** ((l - 1) * s), result_space_size(scenario), np.asarray(tables, dtype=float)
+    if tables.ndim != 2 or tables.shape[1] != k:
+        raise ValueError(f"tables must be a (rows, {k}) stack, got shape {tables.shape}")
     if g > STRATEGY_CAP:
         raise SizeLimitError(f"{g} strategies of parties 1..{l - 1} exceed the cap {STRATEGY_CAP}")
+    if not len(tables):
+        return np.zeros(0)
     step, top = max(STRATEGY_CAP // (len(tables) * s**l * d), 1), np.full(len(tables), -np.inf)
     for start in range(0, g, step):
         codes = _result_indices(scenario, _strategies(scenario, np.arange(start, min(start + step, g)), l - 1))
@@ -126,10 +130,3 @@ def _support_table(scenario: Scenario, support: np.ndarray) -> np.ndarray:
         raise SizeLimitError(f"strategy table {len(indices)} x {support.size} exceeds {ENUMERATION_CAP} entries")
     joint = support // scenario.n_joint_outcomes  # the joint setting of each listed result
     return (np.take(indices, joint, axis=1) == support) * w[joint]  # np.take keeps it row-major: column-major rounds differently
-
-
-def vertex_expectations(scenario: Scenario, values: np.ndarray) -> np.ndarray:
-    """Expectation of a per-result value table under every deterministic strategy."""
-    indices, w = strategy_result_indices(scenario)
-    values = np.asarray(values, dtype=float)
-    return values[indices] @ w

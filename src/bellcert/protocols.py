@@ -23,7 +23,7 @@ import numpy as np
 
 from .functionals import Functional, StandardizedFunctional, _function_columns, expectation
 from .gainrates import gain_martingale, gain_spbr, optimal_gain
-from .lrpolytope import _require_within_caps, vertex_expectations
+from .lrpolytope import _require_within_caps, lr_maximum
 from .optim import DEFAULT_CONTROLS, OptimizerControls, _project_rows, maximize_log_gain
 from .scenario import Distribution, Scenario, _dense_size, _encoded
 
@@ -280,7 +280,8 @@ class FullPbrAnalysis(BlockAnalysis):
         self.floor = floor
         super().__init__(scenario, block_size, np.ones(_dense_size(scenario)))
         self._floor_table = floor * self.possible / self.possible.sum()
-        self._pass_blocks = max(PASS_ENTRIES // _require_within_caps(scenario), 1)  # a projection holds H >= K weights per block
+        # a block's projection holds H strategy weights and its rescale a K-entry table; with d = 1, H = 1 < K
+        self._pass_blocks = max(PASS_ENTRIES // max(_require_within_caps(scenario), self.table.size), 1)
 
     def _predict(self, counts, n):
         freq = (1.0 - self.floor) * (counts / n[:, None]) + self._floor_table
@@ -290,7 +291,7 @@ class FullPbrAnalysis(BlockAnalysis):
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(p > 0.0, freq / np.where(p > 0.0, p, 1.0), 0.0)
         # cap the worst-case LR expectation of the ratio at exactly 1
-        worst = np.array([vertex_expectations(self.scenario, row).max() for row in ratio])
+        worst = lr_maximum(self.scenario, ratio)
         return ratio / np.where(worst > 1.0, worst, 1.0)[:, None], converged
 
     @property

@@ -69,6 +69,25 @@ def embedded_chsh_table(s, d):
     return table.reshape(-1)
 
 
+def ghz_mermin():
+    """(probs, table) of the (3, 2, 2) GHZ source with X/Y settings and of the Mermin functional.
+
+    Settings 0 and 1 are X and Y, each joint setting has probability 1/8, and
+    P(a,b,c|x,y,z) = (1 + E(x,y,z) (-1)^(a+b+c)) / 8, where E is +1 for XXX,
+    -1 for XYY, YXY and YYX, and 0 otherwise.  The Mermin table is
+    8 E (-1)^(a+b+c): its LR maximum is 2 and its GHZ mean is 4.  Both are
+    laid out in the package's result order (settings digits first).
+    """
+    correlation = {(0, 0, 0): 1, (0, 1, 1): -1, (1, 0, 1): -1, (1, 1, 0): -1}
+    probs, table = np.zeros(64), np.zeros(64)
+    for x, y, z, a, b, c in itertools.product(range(2), repeat=6):
+        e, sign = correlation.get((x, y, z), 0), (-1) ** (a + b + c)
+        idx = (x * 4 + y * 2 + z) * 8 + a * 4 + b * 2 + c
+        probs[idx] = (1 + e * sign) / 64
+        table[idx] = 8 * e * sign
+    return probs, table
+
+
 def golden_section_max(fn, lo, hi, iters=200):
     """Maximize a unimodal scalar function on [lo, hi]."""
     phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -370,16 +389,49 @@ def kl_project_lr_squarem_reference(q_probs, indices, setting_w, max_iterations=
     return lam, mixture(lam), -neg_div, iterations, converged
 
 
-def run_full_pbr_reference(trials, indices, setting_w, k, block_size, floor, project):
+def best_reply_maximum(table, l, s, d, setting_w):
+    """LR maximum of one value table by plain loops: the last party's best reply to each strategy of the others.
+
+    For each strategy of parties 1..l-1, and each setting y of party l, the
+    setting-weighted values are summed over the others' settings for every
+    outcome b of party l, the best b is kept, and the best replies are summed
+    over y.  ``lrpolytope.lr_maximum`` adds in the same order, so on the
+    bipartite scenarios the tests use the two agree bit for bit.
+    """
+    best = -math.inf
+    for others in itertools.product(range(d), repeat=(l - 1) * s):
+        # others[p * s + x] is party p's outcome at its setting x
+        total = 0.0
+        for y in range(s):
+            replies = []
+            for b in range(d):
+                acc = 0.0
+                for rest in itertools.product(range(s), repeat=l - 1):
+                    joint, code = 0, 0
+                    for u in rest + (y,):
+                        joint = joint * s + u
+                    for p, u in enumerate(rest):
+                        code = code * d + others[p * s + u]
+                    code = (joint * d ** (l - 1) + code) * d + b
+                    acc += setting_w[joint] * table[code]
+                replies.append(acc)
+            total += max(replies)
+        best = max(best, total)
+    return best
+
+
+def run_full_pbr_reference(trials, l, s, d, setting_w, block_size, floor, project):
     """The full protocol as a per-block loop with one projection call per block, as first written.
 
     ``project(freq)`` returns ``(projected probabilities, converged)`` for one
-    floored frequency table over the ``k`` results (one ``kl_project_lr``
-    call), and ``(indices, setting_w)`` is the strategy index map.  The floor
-    is spread evenly over the results of the joint settings of positive
-    probability.  Returns ``(history, log2_t, flags)``; history rows are
-    ``(n, log2 T, p-value)``.
+    floored frequency table over the results of the (l, s, d) scenario with
+    joint-setting probabilities ``setting_w`` (one ``kl_project_lr`` call).
+    The floor is spread evenly over the results of the joint settings of
+    positive probability, and each ratio table is rescaled by its
+    :func:`best_reply_maximum` where that exceeds 1.  Returns
+    ``(history, log2_t, flags)``; history rows are ``(n, log2 T, p-value)``.
     """
+    k = (d * s) ** l
     possible = np.repeat(setting_w > 0.0, k // setting_w.size)
     counts, table, total = np.zeros(k, dtype=np.int64), np.ones(k), 0.0
     totals, flags = [], []
@@ -393,7 +445,7 @@ def run_full_pbr_reference(trials, indices, setting_w, k, block_size, floor, pro
                 flags.append(f"projection before trial {start + 1} hit the iteration budget")
             with np.errstate(divide="ignore", invalid="ignore"):
                 table = np.where(p > 0.0, freq / np.where(p > 0.0, p, 1.0), 0.0)
-            worst = float((table[indices] @ setting_w).max())
+            worst = best_reply_maximum(table, l, s, d, setting_w)
             if worst > 1.0:
                 table = table / worst
         block = trials[start : start + block_size]

@@ -27,11 +27,10 @@ from bellcert import (
     standardize,
     trivial_standardized,
     uniform_outcome_distribution,
-    vertex_expectations,
 )
 from bellcert.functionals import resolve_catalog_name
 
-from oracles import embedded_chsh_table, enumerate_strategy_distributions, enumerate_strategy_expectations
+from oracles import embedded_chsh_table, enumerate_strategy_distributions, enumerate_strategy_expectations, ghz_mermin
 
 
 def _eval_on(f, settings, outcomes):
@@ -143,15 +142,17 @@ def test_catalog_bounds_are_the_vertex_maxima(sc):
     # the constructor's vertex check would pass a bound 1e-9 low; the catalog's must be exact
     functionals = [f for name in catalog_names(sc) for f in resolve_catalog_name(name, sc)]
     assert len(functionals) == {2: 18, 3: 25, 4: 144}[sc.outcomes_per_setting]
+    vertices = enumerate_strategy_distributions(sc.parties, sc.settings_per_party, sc.outcomes_per_setting)
     for f in functionals:
-        assert abs(f.bound_B - vertex_expectations(sc, f.table).max()) <= 1e-12, f.name
+        assert abs(f.bound_B - (vertices @ f.table).max()) <= 1e-12, f.name
         assert (f.inf_b, f.sup_a) == (f.table.min(), f.table.max())
 
 
 @pytest.mark.parametrize("sc", CATALOG_SCENARIOS, ids=["2,2,2", "2,2,3", "2,3,4"])
 def test_function_set_tables_have_vertex_maximum_one(sc):
+    vertices = enumerate_strategy_distributions(sc.parties, sc.settings_per_party, sc.outcomes_per_setting)
     for r in build_function_set(catalog_names(sc), sc):
-        assert abs(vertex_expectations(sc, r.table).max() - 1.0) <= 1e-12, r.name
+        assert abs((vertices @ r.table).max() - 1.0) <= 1e-12, r.name
 
 
 def test_a_table_must_be_finite(chsh_scenario):
@@ -372,6 +373,15 @@ def test_functional_accepts_exactly_the_bounds_at_its_lr_maximum(case):
     else:
         with pytest.raises(ScenarioMismatchError, match="below the LR maximum"):
             Functional("t", Scenario(l, s, d), bound, table)
+
+
+def test_the_mermin_functional_has_lr_bound_two():
+    # three parties: the last party's best reply to the others' 16 strategies
+    sc, (ghz, table) = Scenario(3, 2, 2), ghz_mermin()
+    assert (enumerate_strategy_distributions(3, 2, 2) @ table).max() == 2.0 and ghz @ table == 4.0
+    assert Functional("mermin", sc, 2.0, table).sup_a == 8.0
+    with pytest.raises(ScenarioMismatchError, match="below the LR maximum 2"):
+        Functional("mermin", sc, 1.999, table)
 
 
 def test_a_sourced_standardized_table_is_its_sources(chsh_scenario):

@@ -17,7 +17,6 @@ from bellcert import (
     strategy_distribution,
     strategy_result_indices,
     uniform_outcome_distribution,
-    vertex_expectations,
 )
 from bellcert.lrpolytope import lr_maximum
 
@@ -126,7 +125,7 @@ def test_uniform_mixture_is_uniform_outcomes(chsh_scenario):
 def test_mixture_respects_chsh_bound(chsh_scenario):
     f = chsh_functional(chsh_scenario)
     rng = np.random.default_rng(7)
-    vertex_max = vertex_expectations(chsh_scenario, f.table).max()
+    vertex_max = (enumerate_strategy_distributions(2, 2, 2) @ f.table).max()
     assert vertex_max == pytest.approx(2.0, abs=1e-12)
     for _ in range(25):
         lam = rng.dirichlet(np.full(16, 0.5))
@@ -185,3 +184,15 @@ def test_lr_maximum_cap_and_chunks(monkeypatch):
     assert np.allclose(lr_maximum(Scenario(2, 2, 2), tables), expected, rtol=0, atol=1e-12)
     with pytest.raises(SizeLimitError, match="9 strategies of parties 1..1 exceed the cap 8"):
         lr_maximum(Scenario(2, 2, 3), np.zeros((1, 36)))
+
+
+@pytest.mark.parametrize("shape", [(1, 20), (1, 15), (16,), (1, 1, 16), ()], ids=str)
+def test_lr_maximum_refuses_a_stack_that_is_not_rows_by_k(shape):
+    # a (1, 20) stack on (2, 2, 2) read 16 of its 20 columns and returned [1.]
+    with pytest.raises(ValueError, match=r"tables must be a \(rows, 16\) stack"):
+        lr_maximum(Scenario(2, 2, 2), np.ones(shape))
+
+
+def test_lr_maximum_of_no_rows_is_empty():
+    top = lr_maximum(Scenario(2, 2, 2), np.zeros((0, 16)))
+    assert top.shape == (0,) and top.dtype == float

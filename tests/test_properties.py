@@ -24,10 +24,11 @@ from bellcert import (
     load_functional_file,
     read_distribution,
     result_space_size,
-    vertex_expectations,
 )
 from bellcert.cli import main
 from bellcert.scenario import ENUMERATION_CAP, INDEX_LIMIT
+
+from oracles import enumerate_strategy_distributions
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -110,7 +111,7 @@ def bad_distribution_files(draw):
 @st.composite
 def bad_functional_files(draw):
     values = draw(st.lists(st.floats(-5.0, 5.0), min_size=16, max_size=16))
-    bound = float(vertex_expectations(Scenario(2, 2, 2), np.array(values)).max()) + 0.5
+    bound = float((enumerate_strategy_distributions(2, 2, 2) @ np.array(values)).max()) + 0.5
     obj = {"scenario": dict(SCENARIO_2X2X2), "B": bound, "values": values}
     how = draw(st.sampled_from(["entry", "bound", "missing", "scenario"]))
     if how == "entry":

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellcert import (
     Distribution,
@@ -24,6 +26,7 @@ from bellcert import (
     gain_spbr,
     kl_project_lr,
     martingale_pvalue,
+    mixture_distribution,
     no_signaling_functionals,
     pbr_pvalue,
     run_full_pbr,
@@ -32,13 +35,12 @@ from bellcert import (
     sample_encoded,
     standardize,
     strategy_distribution,
-    strategy_result_indices,
     trivial_standardized,
     uniform_outcome_distribution,
 )
 from bellcert import protocols
 from bellcert.protocols import PROTOCOLS, BlockAnalysis, select_protocols
-from oracles import run_full_pbr_reference
+from oracles import enumerate_strategy_distributions, ghz_mermin, run_full_pbr_reference
 
 
 def test_pbr_pvalue_basics():
@@ -359,13 +361,15 @@ def test_fpbr_one_pass_projections_match_per_block_calls(chsh_q, cglmp3_q, zero_
     controls = OptimizerControls() if budget is None else OptimizerControls(max_iterations=budget)
     block = 25
     enc = sample_encoded(q, 400, seed=3)
-    indices, setting_w = strategy_result_indices(q.scenario)
+    sc = q.scenario
 
     def project(freq):
         proj = kl_project_lr(Distribution(q.scenario, freq, empirical=True), controls)
         return proj.distribution.probs, proj.converged
 
-    history, log2_t, flags = run_full_pbr_reference(enc, indices, setting_w, q.probs.size, block, floor, project)
+    history, log2_t, flags = run_full_pbr_reference(
+        enc, sc.parties, sc.settings_per_party, sc.outcomes_per_setting, sc.setting_distribution, block, floor, project
+    )
     assert any("hit the iteration budget" in f for f in flags) == (budget is not None)
     assert any("zero-valued ratio" in f for f in flags) == (floor == 0.0)
     # chunks of 1, 7, a block and the whole run; the last run also in passes of 3 blocks
@@ -380,15 +384,61 @@ def test_fpbr_one_pass_projections_match_per_block_calls(chsh_q, cglmp3_q, zero_
 
 
 def test_fpbr_pass_bounds_the_projection_rows(monkeypatch):
-    # a pass holds at most PASS_ENTRIES (block, strategy) weights: (2, 3, 2) has 64 strategies and 36 results
-    scenario = Scenario(2, 3, 2)
-    rows, project = [], protocols._project_rows
-    monkeypatch.setattr(protocols, "_project_rows", lambda freq, *rest: rows.append(len(freq)) or project(freq, *rest))
-    monkeypatch.setattr(protocols, "PASS_ENTRIES", 64 * 5)
-    analysis = FullPbrAnalysis(scenario, 2, OptimizerControls(max_iterations=20))
-    assert analysis._pass_blocks == 5 < BlockAnalysis(scenario, 2, analysis.table)._pass_blocks == 8
-    analysis.extend(sample_encoded(uniform_outcome_distribution(scenario), 40, seed=1))
-    assert rows == [4, 5, 5, 5] and len(analysis.history()) == 40
+    # a pass holds at most PASS_ENTRIES (block, strategy) weights and (block, result) table entries:
+    # (2, 3, 2) has 64 strategies and 36 results, (2, 16, 1) one strategy and 256 results
+    project = protocols._project_rows
+    for scenario, per_block, engine_blocks in ((Scenario(2, 3, 2), 64, 8), (Scenario(2, 16, 1), 256, 5)):
+        rows = []
+        monkeypatch.setattr(protocols, "_project_rows", lambda freq, *rest: rows.append(len(freq)) or project(freq, *rest))
+        monkeypatch.setattr(protocols, "PASS_ENTRIES", per_block * 5)
+        analysis = FullPbrAnalysis(scenario, 2, OptimizerControls(max_iterations=20))
+        assert analysis._pass_blocks == 5 and BlockAnalysis(scenario, 2, analysis.table)._pass_blocks == engine_blocks
+        analysis.extend(sample_encoded(uniform_outcome_distribution(scenario), 40, seed=1))
+        assert rows == [4, 5, 5, 5] and len(analysis.history()) == 40
+
+
+def test_fpbr_rescales_each_pass_with_one_lr_maximum_call(monkeypatch):
+    # two projection steps leave each ratio's LR maximum at 1.2-1.6 on this (3, 2, 2) LR mixture; the rescale
+    # is the last party's best reply, and every returned table has enumerated LR maximum at most 1
+    scenario = Scenario(3, 2, 2)
+    worst, tables, lr_maximum, predict = [], [], protocols.lr_maximum, FullPbrAnalysis._predict
+    monkeypatch.setattr(protocols, "lr_maximum", lambda *args: worst.append(lr_maximum(*args)) or worst[-1])
+    monkeypatch.setattr(FullPbrAnalysis, "_predict", lambda self, *args: tables.append(predict(self, *args)) or tables[-1])
+    lam = np.random.default_rng(5).dirichlet(np.ones(64))
+    enc = sample_encoded(mixture_distribution(scenario, lam), 2000, seed=2)
+    analysis = FullPbrAnalysis(scenario, 50, OptimizerControls(max_iterations=2))
+    for start in range(0, enc.size, 300):
+        analysis.extend(enc[start : start + 300])
+    assert len(worst) == len(tables) == 7
+    assert np.concatenate(worst).max() > 1.2
+    vertices = enumerate_strategy_distributions(3, 2, 2)
+    assert max((vertices @ table.T).max() for table, _ in tables) <= 1.0 + 1e-12
+
+
+def test_fpbr_on_ghz_data():
+    probs, _ = ghz_mermin()
+    ghz = Distribution(Scenario(3, 2, 2), probs)
+    assert run_full_pbr(sample_encoded(ghz, 20_000, seed=0), ghz.scenario, 50).neg_log2_pvalue > 3000.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_history_prefix_is_causal(data):
+    # the first m rows of the history depend on the first m trials only, however the trials are chunked
+    codes = st.lists(st.integers(0, 15), min_size=1, max_size=60)
+    trials = np.array(data.draw(codes), dtype=np.int64)
+    m = data.draw(st.integers(0, trials.size))
+    other = np.concatenate([trials[:m], np.array(data.draw(codes), dtype=np.int64)])
+    block, functions = data.draw(st.integers(1, 12)), build_function_set(["chsh"], Scenario(2, 2, 2))
+    for protocol in ("mart", "spbr", "fpbr"):
+        histories = []
+        for run in (trials, other):
+            analysis = PROTOCOLS[protocol].run(run[:0], functions, block, OptimizerControls(max_iterations=50), 1e-9)
+            size = data.draw(st.integers(1, 25))
+            for start in range(0, run.size, size):
+                analysis.extend(run[start : start + size])
+            histories.append(analysis.history()[:m])
+        assert np.array_equal(*histories), protocol
 
 
 def test_a_result_at_an_impossible_joint_setting_is_refused(zero_setting_q):

@@ -6,7 +6,8 @@
 #
 # Each tree is a checkout of this repository; its own src/ goes on PYTHONPATH.
 # Inputs come from NEW_TREE's perfbench/ (the analyze_chsh_ns trial file at
-# workload seed 1), so both trees read the same bytes.  Every command runs with
+# workload seed 1) and from numpy (a three-party GHZ source and its Mermin
+# functional), so both trees read the same bytes.  Every command runs with
 # one BLAS thread and PYTHONHASHSEED=0.  Each tree's output directory is
 # replaced by OUT in the captured text before the comparison.  Exits 0 when
 # every output matches, 1 on any difference, 2 on a usage error.
@@ -31,6 +32,23 @@ import inputs
 inputs.write_trial_file(sys.argv[2], inputs.sample_chsh_indices(200_000, 1))
 EOF
 trials="$work/input/trials.jsonl"
+# the (3,2,2) GHZ source with X/Y settings and the Mermin functional 8 E (-1)^(a+b+c), LR bound 2
+ghz="$work/input/ghz.json"
+mermin="$work/input/mermin.json"
+python3 - "$ghz" "$mermin" <<'EOF'
+import itertools, json, sys
+import numpy as np
+correlation = {(0, 0, 0): 1, (0, 1, 1): -1, (1, 0, 1): -1, (1, 1, 0): -1}
+probs, values = np.zeros(64), np.zeros(64)
+for x, y, z, a, b, c in itertools.product(range(2), repeat=6):
+    e, sign, idx = correlation.get((x, y, z), 0), (-1) ** (a + b + c), (x * 4 + y * 2 + z) * 8 + a * 4 + b * 2 + c
+    probs[idx], values[idx] = (1 + e * sign) / 64, 8 * e * sign
+scenario = {"l": 3, "s": 2, "d": 2}
+with open(sys.argv[1], "w") as fh:
+    json.dump({"scenario": scenario, "probs": probs.tolist()}, fh)
+with open(sys.argv[2], "w") as fh:
+    json.dump({"scenario": scenario, "B": 2.0, "values": values.tolist()}, fh)
+EOF
 
 # name|arguments of bellcert.cli; @OUT@ stands for the command's own output directory
 commands=(
@@ -43,6 +61,7 @@ commands=(
     "gain_cglmp|gain --sweep cglmp --with-sq"
     "gain_cglmp32|gain --config cglmp:32"
     "catalog|catalog --scenario 2,2,3"
+    "ghz_mermin|simulate --dist $ghz --functions file:$mermin --protocol mart,spbr,fpbr --trials 20000 --block 50"
 )
 
 run_tree() {
