@@ -16,16 +16,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .functionals import Functional, StandardizedFunctional, _function_columns, expectation
-from .gainrates import gain_martingale, gain_spbr, optimal_gain
+from .functionals import Functional, StandardizedFunctional, _function_columns
 from .lrpolytope import _require_within_caps, lr_maximum
 from .optim import DEFAULT_CONTROLS, OptimizerControls, _project_rows, maximize_log_gain
-from .scenario import Distribution, Scenario, _dense_size, _encoded
+from .scenario import Scenario, _dense_size, _encoded
 
 # Smallest positive double; reported p-values are clamped here instead of 0.
 P_FLOOR = 5e-324
@@ -51,6 +49,26 @@ def pbr_pvalue(log2_t):
     return float(p) if p.ndim == 0 else p
 
 
+def gain_martingale(i_q, a: float, b: float, bound: float):
+    """Asymptotic rate of the mean-based certificate for mean i_q and range [b, a].
+
+    Returns 0 where i_q does not exceed the bound; at i_q = a the analytically
+    continued limit log2((a - b)/(B - b)) is used.  Elementwise on an array of
+    means (the running means of a certificate); a float mean gives a float.
+    """
+    if not (b < bound < a):
+        raise ValueError(f"need b < B < a, got b={b}, B={bound}, a={a}")
+    i = np.asarray(i_q, dtype=float)
+    outside = ~((b <= i) & (i <= a))
+    if np.any(outside):
+        raise ValueError(f"mean {i[outside].flat[0]} outside the declared range [{b}, {a}]")
+    span = a - b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = (a - i) / span * np.log2((a - i) / (a - bound)) + (i - b) / span * np.log2((i - b) / (bound - b))
+    rate = np.where(i <= bound, 0.0, np.where(i == a, math.log2((a - b) / (bound - b)), inner))
+    return float(rate) if rate.ndim == 0 else rate
+
+
 def _check_mart_inputs(i_hat: float, n: int, a: float, b: float, bound: float) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -64,7 +82,7 @@ def martingale_pvalue(i_hat: float, n: int, a: float, b: float, bound: float) ->
     """Hoeffding-style supermartingale bound on the LR tail of the running mean.
 
     Equals 2^(-n * g) where g is the closed-form rate of
-    :func:`bellcert.gainrates.gain_martingale` at the observed mean; 1 when
+    :func:`gain_martingale` at the observed mean; 1 when
     the mean does not exceed the bound.
     """
     _check_mart_inputs(i_hat, n, a, b, bound)
@@ -335,55 +353,27 @@ def run_full_pbr(
 # protocols by name
 
 
-@dataclass(frozen=True)
-class Protocol:
-    """How a named protocol runs and what its asymptotic rate is.
-
-    ``run(trials, functions, block_size, controls, floor)`` returns the
-    analysis and ``rate(q, functions, controls)`` the exact rate in bits per
-    trial at probabilities q.  ``functions`` is a standardized set with the
-    trivial function first; ``mart`` certifies ``functions[1].source``.
-    """
-
-    run: Callable[..., BlockAnalysis]
-    rate: Callable[..., float]
-
-
 def _mart_functional(functions: Sequence[StandardizedFunctional]) -> Functional:
-    if len(functions) < 2:
-        raise ValueError("martingale protocol needs a non-trivial functional")
+    """The functional ``mart`` certifies: the source of ``functions[1]``."""
+    if len(functions) < 2 or functions[1].source is None:
+        raise ValueError("protocol 'mart' needs a non-trivial sourced functional at position 1")
     return functions[1].source
 
 
-def _mart_rate(q: Distribution, functions, controls) -> float:
-    f = _mart_functional(functions)
-    return gain_martingale(expectation(f, q), f.sup_a, f.inf_b, f.bound_B)
-
-
-# Entries call the run_* and rate functions through their module-global names,
-# looked up at call time.
+# Each name's run adapter ``(trials, functions, block_size, controls, floor) -> analysis``;
+# ``functions`` is a standardized set with the trivial function first.  The adapters call
+# the run_* functions through their module-global names, looked up at call time.
 PROTOCOLS = {
-    "mart": Protocol(
-        run=lambda trials, functions, block_size, controls, floor: run_martingale(trials, _mart_functional(functions)),
-        rate=_mart_rate,
-    ),
-    "spbr": Protocol(
-        run=lambda trials, functions, block_size, controls, floor: run_simplified_pbr(
-            trials, functions, block_size, controls
-        ),
-        rate=lambda q, functions, controls: gain_spbr(q, functions, controls).gain,
-    ),
-    "fpbr": Protocol(
-        run=lambda trials, functions, block_size, controls, floor: run_full_pbr(
-            trials, functions[0].scenario, block_size, controls, floor
-        ),
-        rate=lambda q, functions, controls: optimal_gain(q, controls),
+    "mart": lambda trials, functions, block_size, controls, floor: run_martingale(trials, _mart_functional(functions)),
+    "spbr": lambda trials, functions, block_size, controls, floor: run_simplified_pbr(trials, functions, block_size, controls),
+    "fpbr": lambda trials, functions, block_size, controls, floor: run_full_pbr(
+        trials, functions[0].scenario, block_size, controls, floor
     ),
 }
 
 
-def select_protocols(names: Sequence[str], block_size: int) -> dict[str, Protocol]:
-    """Registry entries for one run of distinct named protocols; ValueError for an unknown name or a block size below 1."""
+def select_protocols(names: Sequence[str], block_size: int) -> dict:
+    """Run adapters for one run of distinct named protocols; ValueError for an unknown name or a block size below 1."""
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
     if len(set(names)) < len(names):
@@ -396,4 +386,4 @@ def select_protocols(names: Sequence[str], block_size: int) -> dict[str, Protoco
 
 def _run_selection(names: Sequence[str], trials: np.ndarray, functions, block_size, controls, floor) -> dict:
     """The analyses of one array of encoded trials by each protocol that :func:`select_protocols` selects, by name."""
-    return {name: p.run(trials, functions, block_size, controls, floor) for name, p in select_protocols(names, block_size).items()}
+    return {name: run(trials, functions, block_size, controls, floor) for name, run in select_protocols(names, block_size).items()}

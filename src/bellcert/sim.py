@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .functionals import build_function_set
+from .gainrates import protocol_rate
 from .optim import DEFAULT_CONTROLS, OptimizerControls
 from .protocols import DEFAULT_BLOCK, DEFAULT_FLOOR, PROTOCOLS, _run_selection, select_protocols
 from .scenario import Distribution
@@ -50,6 +51,8 @@ class SimulationPlan:
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
         select_protocols(self.protocols, self.block_size)
+        # the certificates assume the scenario's setting distribution: an empirical source must reproduce it too
+        Distribution(self.source.scenario, self.source.probs)
 
 
 @dataclass
@@ -132,7 +135,7 @@ def run_seed_sweep(plan: SimulationPlan, seeds: Sequence[int], out_dir: str | Pa
     """Run the same plan under many seeds, sharing one function set and rate table; optionally write a per-seed summary table."""
     results = []
     for seed, functions, analyses in _seed_runs(plan, seeds):
-        rates = results[0].rates if results else {p: PROTOCOLS[p].rate(plan.source, functions, plan.controls) for p in plan.protocols}
+        rates = results[0].rates if results else {p: protocol_rate(p, plan.source, functions, plan.controls) for p in plan.protocols}
         results.append(ExperimentResult(replace(plan, seed=seed), analyses, rates))
     if out_dir is not None:
         out = Path(out_dir)

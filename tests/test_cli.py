@@ -318,6 +318,17 @@ def test_simulate_refuses_a_wrongly_typed_distribution_file(tmp_path, capsys, ob
     assert "must" in capsys.readouterr().err
 
 
+def test_simulate_refuses_a_source_off_the_setting_distribution(tmp_path, capsys):
+    # an LR source (every outcome 0) whose settings come at (0.3, 0.3, 0.3, 0.1), not uniformly:
+    # marked empirical, it read p < 1e-59 on every certificate
+    probs = np.zeros(16)
+    probs[::4] = (0.3, 0.3, 0.3, 0.1)
+    dist = tmp_path / "d.json"
+    dist.write_text(json.dumps({"scenario": {"l": 2, "s": 2, "d": 2}, "probs": probs.tolist(), "empirical": True}))
+    assert main(["simulate", "--dist", str(dist), "--trials", "2000", "--protocol", "mart,spbr,fpbr", "--seed", "0"]) == 2
+    assert "outcome marginals do not reproduce the setting distribution" in capsys.readouterr().err
+
+
 def test_analyze_refuses_a_null_functional_bound(tmp_path, capsys, trial_file):
     path, _ = trial_file
     func_path = tmp_path / "f.json"

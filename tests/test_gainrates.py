@@ -16,6 +16,8 @@ from bellcert import (
     optimal_gain,
     uniform_outcome_distribution,
 )
+from bellcert import gainrates
+from bellcert.protocols import PROTOCOLS
 
 
 def test_gain_martingale_no_violation():
@@ -145,3 +147,20 @@ def test_gain_curve_chsh():
 def test_gain_curve_unknown_sweep():
     with pytest.raises(ValueError):
         gain_curve("bogus", [1])
+
+
+@pytest.mark.parametrize("name", list(PROTOCOLS))
+def test_protocol_rate_is_each_protocols_own_formula(chsh_q, name):
+    functions, controls = build_function_set((), chsh_q.scenario), OptimizerControls()
+    f = functions[1].source
+    direct = {
+        "mart": lambda: gain_martingale(expectation(f, chsh_q), f.sup_a, f.inf_b, f.bound_B),
+        "spbr": lambda: gain_spbr(chsh_q, functions, controls).gain,
+        "fpbr": lambda: optimal_gain(chsh_q, controls),
+    }[name]
+    assert gainrates.protocol_rate(name, chsh_q, functions, controls) == direct()
+
+
+def test_protocol_rate_refuses_an_unknown_name(chsh_q):
+    with pytest.raises(ValueError, match="unknown protocol 'bogus'"):
+        gainrates.protocol_rate("bogus", chsh_q, build_function_set((), chsh_q.scenario), OptimizerControls())

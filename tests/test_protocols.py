@@ -1,5 +1,7 @@
+import ast
 import copy
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +40,7 @@ from bellcert import (
     trivial_standardized,
     uniform_outcome_distribution,
 )
-from bellcert import protocols
+from bellcert import gainrates, protocols
 from bellcert.protocols import PROTOCOLS, BlockAnalysis, select_protocols
 from oracles import enumerate_strategy_distributions, ghz_mermin, run_full_pbr_reference
 
@@ -311,7 +313,30 @@ def test_fpbr_validation(chsh_scenario):
 def _run_named(protocol, trials, scenario, block_size=154):
     d = scenario.outcomes_per_setting
     functions = build_function_set(["chsh" if d == 2 else f"cglmp:{d}"], scenario)
-    return PROTOCOLS[protocol].run(trials, functions, block_size, OptimizerControls(), 1e-9)
+    return PROTOCOLS[protocol](trials, functions, block_size, OptimizerControls(), 1e-9)
+
+
+@pytest.mark.parametrize("path", ["run", "rate"])
+def test_mart_refuses_a_function_with_no_source(chsh_q, path):
+    # a hand-built weighted function is valid for spbr, but mart has no functional to certify
+    sc = chsh_q.scenario
+    functions = [trivial_standardized(sc), StandardizedFunctional("r", sc, standardize(chsh_functional(sc)).table)]
+    with pytest.raises(ValueError, match="'mart' needs a non-trivial sourced functional at position 1"):
+        if path == "run":
+            PROTOCOLS["mart"](sample_encoded(chsh_q, 20, seed=0), functions, 10, OptimizerControls(), 1e-9)
+        else:
+            gainrates.protocol_rate("mart", chsh_q, functions, OptimizerControls())
+
+
+def test_the_certificates_import_neither_the_analytics_nor_the_simulator():
+    tree = ast.parse(Path(protocols.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."), (a.name for a in node.names))
+        elif isinstance(node, ast.Import):
+            names.update(part for a in node.names for part in a.name.split("."))
+    assert "numpy" in names and not names & {"gainrates", "quantum"}
 
 
 def test_select_protocols_names_the_first_unknown_entry():
@@ -433,7 +458,7 @@ def test_history_prefix_is_causal(data):
     for protocol in ("mart", "spbr", "fpbr"):
         histories = []
         for run in (trials, other):
-            analysis = PROTOCOLS[protocol].run(run[:0], functions, block, OptimizerControls(max_iterations=50), 1e-9)
+            analysis = PROTOCOLS[protocol](run[:0], functions, block, OptimizerControls(max_iterations=50), 1e-9)
             size = data.draw(st.integers(1, 25))
             for start in range(0, run.size, size):
                 analysis.extend(run[start : start + size])

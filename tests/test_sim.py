@@ -5,6 +5,7 @@ import pytest
 
 from bellcert import (
     GENERATOR_ID,
+    Distribution,
     SimulationPlan,
     born_distribution,
     build_function_set,
@@ -17,7 +18,7 @@ from bellcert import (
     uniform_outcome_distribution,
     validity_exceedance,
 )
-from bellcert import protocols, sim
+from bellcert import gainrates, sim
 from bellcert.protocols import DEFAULT_FLOOR, PROTOCOLS
 from bellcert.sim import REPORT_CHUNK, VALIDITY_CONTROLS, write_report
 
@@ -55,6 +56,18 @@ def test_plan_validation(chsh_q):
         SimulationPlan(chsh_q, 10, 1, protocols=("bogus",))
     with pytest.raises(ValueError):
         SimulationPlan(chsh_q, 10, 1, block_size=0)
+
+
+def test_plan_refuses_a_source_off_the_setting_distribution(chsh_scenario):
+    # an empirical table is exempt from the setting marginals, but the certificates assume them
+    skewed = np.zeros(16)
+    skewed[::4] = (0.3, 0.3, 0.3, 0.1)
+    source = Distribution(chsh_scenario, skewed, empirical=True)
+    with pytest.raises(ValueError, match="outcome marginals do not reproduce the setting distribution"):
+        SimulationPlan(source, 10, 0)
+    with pytest.raises(ValueError, match="outcome marginals do not reproduce the setting distribution"):
+        validity_exceedance(source, 1, 10, alphas=[0.1])
+    SimulationPlan(Distribution(chsh_scenario, np.full(16, 1 / 16), empirical=True), 10, 0)
 
 
 def test_run_experiment_lr_source_no_violation(chsh_scenario):
@@ -119,7 +132,7 @@ def test_seed_sweep_builds_the_function_set_and_rates_once(monkeypatch, chsh_q):
         return lambda *args: calls.append(name) or fn(*args)
 
     monkeypatch.setattr(sim, "build_function_set", counted("functions", sim.build_function_set))
-    monkeypatch.setattr(protocols, "optimal_gain", counted("fpbr rate", protocols.optimal_gain))
+    monkeypatch.setattr(gainrates, "optimal_gain", counted("fpbr rate", gainrates.optimal_gain))
     results = run_seed_sweep(SimulationPlan(chsh_q, n_trials=60, seed=0, block_size=20), seeds=range(3))
     assert sorted(calls) == ["fpbr rate", "functions"]
     assert [r.plan.seed for r in results] == [0, 1, 2] and all(r.rates is results[0].rates for r in results)
@@ -141,7 +154,7 @@ def test_validity_exceedance_counts_rejections():
     functions = build_function_set((), q.scenario)
     for protocol, entry in PROTOCOLS.items():
         finals = [
-            entry.run(sample_encoded(q, 200, i), functions, 10, VALIDITY_CONTROLS, DEFAULT_FLOOR).pvalue
+            entry(sample_encoded(q, 200, i), functions, 10, VALIDITY_CONTROLS, DEFAULT_FLOOR).pvalue
             for i in range(20)
         ]
         assert rates[protocol] == {a: sum(p <= a for p in finals) / 20 for a in alphas}, protocol

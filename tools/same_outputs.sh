@@ -59,6 +59,8 @@ commands=(
     "seed_sweep|simulate --config cglmp:3 --trials 2000 --seeds 3 --out @OUT@"
     "gain_chsh|gain --sweep chsh --with-sq"
     "gain_cglmp|gain --sweep cglmp --with-sq"
+    "gain_chsh_no_ns|gain --sweep chsh --no-ns"
+    "gain_chsh_config|gain --config chsh:0.6 --with-sq"
     "gain_cglmp32|gain --config cglmp:32"
     "catalog|catalog --scenario 2,2,3"
     "ghz_mermin|simulate --dist $ghz --functions file:$mermin --protocol mart,spbr,fpbr --trials 20000 --block 50"
