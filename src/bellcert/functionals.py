@@ -122,10 +122,6 @@ def expectation(f: Functional | StandardizedFunctional, dist: Distribution) -> f
     return dist.expectation(f.table)
 
 
-def _two_by_two(scenario: Scenario) -> bool:
-    return scenario.parties == 2 and scenario.settings_per_party == 2 and scenario.is_uniform()
-
-
 def chsh_functional(scenario: Scenario) -> Functional:
     """Per-trial CHSH combination, scaled for uniform settings: bound 2, range [-4, 4].
 
@@ -133,7 +129,7 @@ def chsh_functional(scenario: Scenario) -> Functional:
     measurement value +1 and index 1 to -1; the setting pair (2, 2) carries
     the negative sign.
     """
-    if not (_two_by_two(scenario) and scenario.outcomes_per_setting == 2):
+    if "chsh" not in catalog_names(scenario):
         raise ValueError("chsh_functional requires a (2, 2, 2) scenario with uniform settings")
     return Functional("chsh", scenario, 2.0, _cglmp_table(2).reshape(-1))  # not replace(): it would rerun the vertex check
 
@@ -158,7 +154,7 @@ def cglmp_functional(scenario: Scenario) -> Functional:
     """d-outcome generalization of the CHSH combination (d from the scenario), LR bound 2, d distinct values."""
     _dense_size(scenario)
     d = scenario.outcomes_per_setting
-    if not (_two_by_two(scenario) and d >= 2):
+    if f"cglmp:{d}" not in catalog_names(scenario):
         raise ValueError("cglmp_functional requires a (2, 2, d) scenario with d >= 2 and uniform settings")
     return Functional(f"cglmp:{d}", scenario, 2.0, _cglmp_table(d).reshape(-1))
 
@@ -172,10 +168,8 @@ def no_signaling_functionals(scenario: Scenario) -> list[Functional]:
     (hence every LR) model.  Both signs are emitted.
     """
     _dense_size(scenario)
-    if scenario.parties != 2:
-        raise ValueError("no_signaling_functionals: only bipartite scenarios are supported")
-    if np.any(scenario.setting_distribution <= 0.0):
-        raise ValueError("no_signaling_functionals: every joint setting must have positive probability")
+    if "nosignaling" not in catalog_names(scenario):
+        raise ValueError("no_signaling_functionals requires a bipartite scenario with every joint setting of positive probability")
     s, d = scenario.settings_per_party, scenario.outcomes_per_setting
     pi = scenario.setting_distribution.reshape(s, s)
     out: list[Functional] = []
@@ -211,47 +205,44 @@ def load_functional_file(path: str | Path) -> Functional:
 
 
 def catalog_names(scenario: Scenario) -> list[str]:
-    """Catalog identifiers applicable to a scenario."""
-    names = ["trivial"]
-    if _two_by_two(scenario) and scenario.outcomes_per_setting == 2:
+    """Catalog identifiers applicable to a scenario: the one statement of which entry applies where."""
+    d, names = scenario.outcomes_per_setting, ["trivial"]
+    two_by_two = scenario.parties == 2 and scenario.settings_per_party == 2 and scenario.is_uniform()
+    if two_by_two and d == 2:
         names.append("chsh")
-    if _two_by_two(scenario) and scenario.outcomes_per_setting >= 2:
-        names.append(f"cglmp:{scenario.outcomes_per_setting}")
+    if two_by_two and d >= 2:
+        names.append(f"cglmp:{d}")
     if scenario.parties == 2 and np.all(scenario.setting_distribution > 0.0):
         names.append("nosignaling")
     return names
 
 
 def default_function_names(scenario: Scenario) -> tuple[str, ...]:
-    """The catalog Bell functional of a (2, 2, d) scenario with uniform settings: ``chsh`` or ``cglmp:<d>``."""
-    if not _two_by_two(scenario):
-        raise ValueError("no default function set for this scenario; supply function_names (CLI: --functions)")
-    d = scenario.outcomes_per_setting
-    return ("chsh",) if d == 2 else (f"cglmp:{d}",)
+    """The scenario's catalog Bell functional: the first of ``chsh`` and ``cglmp:<d>`` that :func:`catalog_names` lists."""
+    listed = catalog_names(scenario)
+    for name in ("chsh", f"cglmp:{scenario.outcomes_per_setting}"):
+        if name in listed:
+            return (name,)
+    raise ValueError("no default function set for this scenario; supply function_names (CLI: --functions)")
 
 
 def resolve_catalog_name(name: str, scenario: Scenario) -> list[Functional]:
-    """Resolve a catalog identifier or a ``file:<path>`` functional file to its functional(s); 'trivial' resolves to none."""
+    """Resolve a name :func:`catalog_names` lists, or a ``file:<path>`` functional file, to its functional(s); 'trivial' to none."""
     name = name.strip()
     if name.startswith("file:"):
         f = load_functional_file(name[5:])
         _check_same_scenario(f.scenario, scenario, name[5:])
         return [f]
+    listed = catalog_names(scenario)
+    if name not in listed:
+        raise UnknownFunctionalError(f"unknown functional {name!r}; this scenario's catalog is {', '.join(listed)}")
     if name == "trivial":
         return []
     if name == "chsh":
         return [chsh_functional(scenario)]
     if name == "nosignaling":
         return no_signaling_functionals(scenario)
-    if name.startswith("cglmp:"):
-        try:
-            d = int(name.split(":", 1)[1])
-        except ValueError:
-            raise UnknownFunctionalError(f"malformed catalog name {name!r}") from None
-        if d != scenario.outcomes_per_setting:
-            raise UnknownFunctionalError(f"{name!r} does not match the scenario's {scenario.outcomes_per_setting} outcomes")
-        return [cglmp_functional(scenario)]
-    raise UnknownFunctionalError(f"unknown functional {name!r}")
+    return [cglmp_functional(scenario)]
 
 
 def build_function_set(names: Sequence[str], scenario: Scenario) -> list[StandardizedFunctional]:

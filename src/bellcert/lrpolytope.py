@@ -33,6 +33,14 @@ def _require_within_caps(scenario: Scenario) -> int:
     return h
 
 
+def _require_projection_fits(scenario: Scenario, results: int) -> int:
+    """H, refused unless a projection over ``results`` results fits: its H x results strategy table within ENUMERATION_CAP."""
+    h = _require_within_caps(scenario)
+    if h * results > ENUMERATION_CAP:
+        raise SizeLimitError(f"strategy table {h} x {results} exceeds {ENUMERATION_CAP} entries")
+    return h
+
+
 def enumerate_strategies(scenario: Scenario) -> np.ndarray:
     """All strategies as an (H, l, s) outcome table, in mixed-radix order."""
     return _strategies(scenario, np.arange(_require_within_caps(scenario), dtype=np.int64), scenario.parties)
@@ -125,8 +133,7 @@ def _mixture_probs(scenario: Scenario, lam: np.ndarray) -> np.ndarray:
 
 def _support_table(scenario: Scenario, support: np.ndarray) -> np.ndarray:
     """Dense (strategies x support) table: the probability each strategy gives each listed result."""
+    _require_projection_fits(scenario, support.size)
     indices, w = strategy_result_indices(scenario)
-    if len(indices) * support.size > ENUMERATION_CAP:
-        raise SizeLimitError(f"strategy table {len(indices)} x {support.size} exceeds {ENUMERATION_CAP} entries")
     joint = support // scenario.n_joint_outcomes  # the joint setting of each listed result
     return (np.take(indices, joint, axis=1) == support) * w[joint]  # np.take keeps it row-major: column-major rounds differently

@@ -202,7 +202,7 @@ def maximize_log_gain(
     r, f = _check_gain_inputs(r_values, freq)
     if r.shape[1] < 1:
         raise ValueError("at least the trivial function is required")
-    if not np.allclose(r[:, 0], 1.0, rtol=0, atol=1e-12):
+    if not np.all(np.abs(r[:, 0] - 1.0) <= 1e-12):
         raise ValueError("column 0 of r_values must be the trivial (all ones) function")
     active = f > 0.0
     r, f = r[active], f[active]

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .functionals import Functional, StandardizedFunctional, _function_columns
-from .lrpolytope import _require_within_caps, lr_maximum
+from .lrpolytope import _require_projection_fits, lr_maximum
 from .optim import DEFAULT_CONTROLS, OptimizerControls, _project_rows, maximize_log_gain
 from .scenario import Scenario, _dense_size, _encoded
 
@@ -69,33 +69,25 @@ def gain_martingale(i_q, a: float, b: float, bound: float):
     return float(rate) if rate.ndim == 0 else rate
 
 
-def _check_mart_inputs(i_hat: float, n: int, a: float, b: float, bound: float) -> None:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not (b < bound < a):
-        raise ValueError(f"need b < B < a, got b={b}, B={bound}, a={a}")
-    if not (b <= i_hat <= a):
-        raise ValueError(f"mean {i_hat} outside the declared range [{b}, {a}]")
-
-
 def martingale_pvalue(i_hat: float, n: int, a: float, b: float, bound: float) -> float:
     """Hoeffding-style supermartingale bound on the LR tail of the running mean.
 
     Equals 2^(-n * g) where g is the closed-form rate of
     :func:`gain_martingale` at the observed mean; 1 when
-    the mean does not exceed the bound.
+    the mean does not exceed the bound.  The range check is :func:`gain_martingale`'s.
     """
-    _check_mart_inputs(i_hat, n, a, b, bound)
+    if n < 1:
+        raise ValueError("n must be >= 1")
     return pbr_pvalue(n * gain_martingale(i_hat, a, b, bound))
 
 
 def azuma_pvalue(i_hat: float, n: int, a: float, b: float, bound: float) -> float:
     """Azuma-Hoeffding comparison baseline exp(-2 n (mean - B)^2 / (a - b)^2).
 
-    Never smaller than :func:`martingale_pvalue`; provided only so the two
-    bounds can be compared.
+    Never smaller than :func:`martingale_pvalue`, and refuses what it refuses;
+    provided only so the two bounds can be compared.
     """
-    _check_mart_inputs(i_hat, n, a, b, bound)
+    martingale_pvalue(i_hat, n, a, b, bound)
     if i_hat <= bound:
         return 1.0
     t = (i_hat - bound) / (a - b)
@@ -298,8 +290,10 @@ class FullPbrAnalysis(BlockAnalysis):
         self.floor = floor
         super().__init__(scenario, block_size, np.ones(_dense_size(scenario)))
         self._floor_table = floor * self.possible / self.possible.sum()
-        # a block's projection holds H strategy weights and its rescale a K-entry table; with d = 1, H = 1 < K
-        self._pass_blocks = max(PASS_ENTRIES // max(_require_within_caps(scenario), self.table.size), 1)
+        # refused unless a projection over all K' possible results fits; a block's projection
+        # holds H strategy weights and its rescale a K-entry table; with d = 1, H = 1 < K
+        h = _require_projection_fits(scenario, int(self.possible.sum()))
+        self._pass_blocks = max(PASS_ENTRIES // max(h, self.table.size), 1)
 
     def _predict(self, counts, n):
         freq = (1.0 - self.floor) * (counts / n[:, None]) + self._floor_table

@@ -519,12 +519,14 @@ def test_empty_name_lists_and_missing_defaults_name_the_option(tmp_path, capsys,
     plain = capsys.readouterr()
     assert main(argv + ["mart, ,spbr"]) == 0
     assert capsys.readouterr() == plain
-    # a scenario without a default functional asks for --functions
-    sc = Scenario(2, 3, 2)
-    other = tmp_path / "s3.jsonl"
-    write_trials(other, sc, np.zeros(10, dtype=np.int64))
-    assert main(["analyze", str(other), "--scenario", "2,3,2"]) == 2
-    assert "--functions" in capsys.readouterr().err
+    # a scenario whose catalog lists no Bell functional asks for --functions; (2, 2, 1)
+    # lists trivial and nosignaling only, and its default was once the unlisted cglmp:1
+    for lsd in ((2, 3, 2), (2, 2, 1)):
+        other = tmp_path / "other.jsonl"
+        write_trials(other, Scenario(*lsd), np.zeros(10, dtype=np.int64))
+        assert main(["analyze", str(other), "--scenario", ",".join(map(str, lsd))]) == 2
+        err = capsys.readouterr().err
+        assert "no default function set" in err and "--functions" in err
 
 
 def test_fpbr_keeps_its_evidence_when_a_joint_setting_is_impossible(tmp_path, capsys, zero_setting_q):

@@ -28,7 +28,7 @@ from bellcert import (
     trivial_standardized,
     uniform_outcome_distribution,
 )
-from bellcert.functionals import resolve_catalog_name
+from bellcert.functionals import default_function_names, resolve_catalog_name
 
 from oracles import embedded_chsh_table, enumerate_strategy_distributions, enumerate_strategy_expectations, ghz_mermin
 
@@ -169,7 +169,7 @@ def test_a_table_must_be_finite(chsh_scenario):
 
 
 def test_catalog_rejects_a_malformed_cglmp_name(chsh_scenario):
-    with pytest.raises(UnknownFunctionalError, match="malformed catalog name"):
+    with pytest.raises(UnknownFunctionalError, match="'cglmp:x'; this scenario's catalog is trivial, chsh, cglmp:2, nosignaling"):
         resolve_catalog_name("cglmp:x", chsh_scenario)
 
 
@@ -266,6 +266,36 @@ def test_catalog_names(chsh_scenario, cglmp3_scenario):
     assert catalog_names(chsh_scenario) == ["trivial", "chsh", "cglmp:2", "nosignaling"]
     assert "cglmp:3" in catalog_names(cglmp3_scenario)
     assert "chsh" not in catalog_names(cglmp3_scenario)
+
+
+@st.composite
+def small_scenarios(draw):
+    """l, s from 1 to 3 and d from 1 to 4, with uniform settings or one joint setting of probability 0."""
+    l, s, d = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    n = s**l
+    zero = draw(st.none() | st.integers(0, n - 1)) if n > 1 else None
+    if zero is None:
+        return Scenario(l, s, d)
+    return Scenario(l, s, d, [0.0 if j == zero else 1.0 / (n - 1) for j in range(n)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(sc=small_scenarios())
+def test_names_resolve_exactly_when_the_catalog_lists_them(sc):
+    # at (2, 2, 1) the default was cglmp:1, and chsh on (2, 2, 3) raised the builder's ValueError
+    listed = catalog_names(sc)
+    for name in ("trivial", "chsh", "nosignaling", *(f"cglmp:{d}" for d in range(1, 6)), "cglmp:x"):
+        if name in listed:
+            resolve_catalog_name(name, sc)
+        else:
+            with pytest.raises(UnknownFunctionalError, match="catalog is " + ", ".join(listed)):
+                resolve_catalog_name(name, sc)
+    try:
+        (default,) = default_function_names(sc)
+    except ValueError as exc:
+        assert "no default function set" in str(exc)
+    else:
+        assert default in listed
 
 
 def test_build_function_set(chsh_scenario):

@@ -16,6 +16,7 @@ from bellcert import (
     Scenario,
     ScenarioMismatchError,
     SimplifiedPbrAnalysis,
+    SizeLimitError,
     StandardizationError,
     StandardizedFunctional,
     TrialResult,
@@ -308,6 +309,11 @@ def test_fpbr_validation(chsh_scenario):
         FullPbrAnalysis(chsh_scenario, floor=1.0)
     with pytest.raises(ValueError):
         FullPbrAnalysis(chsh_scenario).extend([-1])
+    # (2, 2, 13): 13^4 = 28,561 strategies fit STRATEGY_CAP, but a projection over its 676
+    # possible results needs a 19,307,236-entry table; it once failed only at the first block
+    with pytest.raises(SizeLimitError, match="28561 x 676 exceeds 16777216"):
+        FullPbrAnalysis(Scenario(2, 2, 13))
+    FullPbrAnalysis(Scenario(2, 2, 12))  # 20,736 x 576 fits
 
 
 def _run_named(protocol, trials, scenario, block_size=154):

@@ -63,6 +63,9 @@ commands=(
     "gain_chsh_config|gain --config chsh:0.6 --with-sq"
     "gain_cglmp32|gain --config cglmp:32"
     "catalog|catalog --scenario 2,2,3"
+    "catalog_chsh|catalog --scenario 2,2,2"
+    "catalog_ns|catalog --scenario 2,3,2"
+    "catalog_trivial|catalog --scenario 3,2,2"
     "ghz_mermin|simulate --dist $ghz --functions file:$mermin --protocol mart,spbr,fpbr --trials 20000 --block 50"
 )
 
