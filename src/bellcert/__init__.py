@@ -61,11 +61,9 @@ from .quantum import MeasurementBank, PureState, born_distribution, chsh_config,
 from .scenario import (
     Distribution,
     Scenario,
-    TrialResult,
     decode_result,
     empirical_distribution,
     encode_result,
-    encode_trials,
     read_distribution,
     read_trials,
     result_space_size,

@@ -16,12 +16,14 @@ from .errors import BellcertError, ScenarioMismatchError, TrialFormatError
 from .functionals import build_function_set, catalog_names
 from .optim import DEFAULT_CONTROLS, OptimizerControls
 from .protocols import DEFAULT_BLOCK, DEFAULT_FLOOR, _run_selection
-from .scenario import Scenario, _distribution_json, read_distribution, read_trials, write_distribution
+from .scenario import Scenario, _distribution_json, read_distribution, read_trials, setting_log2_pvalue, write_distribution
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 EXIT_MISMATCH = 3
+# analyze refuses setting counts whose p-value under the declared settings, which every certificate assumes, is below this
+SETTING_CHECK_LEVEL = 1e-6
 
 
 def _parse_scenario(text: str) -> Scenario:
@@ -72,6 +74,10 @@ def cmd_analyze(args) -> int:
     encoded = read_trials(args.trials_file, scenario)
     if encoded.size == 0:
         raise ScenarioMismatchError(f"{args.trials_file}: no trial records")
+    log2_p = setting_log2_pvalue(scenario, encoded)
+    if 2.0**log2_p < SETTING_CHECK_LEVEL:
+        bound = f"p <= 2^{log2_p:.1f}, below {SETTING_CHECK_LEVEL:g}"
+        raise ScenarioMismatchError(f"{args.trials_file}: the setting counts refute the declared setting distribution ({bound})")
     functions = build_function_set(_names(args.functions, "--functions"), scenario)
     analyses = _run_selection(_names(args.protocol, "--protocol"), encoded, functions, args.block, _controls(args), args.floor)
     for name, analysis in analyses.items():
@@ -124,12 +130,18 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+SWEEP_VALUES = {"cglmp": ("d", "2..7"), "chsh": ("theta", "0.19634954,0.39269908,0.58904862")}
+
+
 def cmd_gain(args) -> int:
-    if args.sweep:
-        kind, values = args.sweep, _parse_values(args.d if args.sweep == "cglmp" else args.theta)
-    else:
-        kind, _, arg = args.config.partition(":")
-        values = [arg]
+    kind, _, arg = (args.config or args.sweep).partition(":")
+    values = [arg]
+    for sweep, (flag, default) in SWEEP_VALUES.items():
+        text = getattr(args, flag)
+        if args.sweep == sweep:
+            values = _parse_values(default if text is None else text)
+        elif text is not None:
+            raise ValueError(f"--{flag} applies only to --sweep {sweep}")
     reports = gainrates.gain_curve(
         kind, values, include_optimal=args.with_sq, include_nosignaling=not args.no_ns, controls=_controls(args)
     )
@@ -237,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--config", help="single configuration, e.g. cglmp:3")
     source.add_argument("--sweep", choices=["cglmp", "chsh"])
-    p.add_argument("--d", default="2..7", help="outcome counts for --sweep cglmp (range or comma list)")
-    p.add_argument("--theta", default="0.19634954,0.39269908,0.58904862", help="angles for --sweep chsh")
+    p.add_argument("--d", help=f"outcome counts for --sweep cglmp (range or comma list; default {SWEEP_VALUES['cglmp'][1]})")
+    p.add_argument("--theta", help=f"angles for --sweep chsh (default {SWEEP_VALUES['chsh'][1]})")
     p.add_argument("--with-sq", action="store_true", help="include the optimal (projection) rate")
     p.add_argument("--no-ns", action="store_true", help="skip the no-signaling column on chsh sweeps")
     common(p, optimizer=True, protocol=False)

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SizeLimitError
-from .scenario import ENUMERATION_CAP, Distribution, Scenario, _dense_size, result_space_size
+from .scenario import ENUMERATION_CAP, Distribution, Scenario, _dense_size, _place_values, result_space_size
 
 # Largest strategy space the full (polytope-searching) protocol will touch.
 STRATEGY_CAP = 2**20
@@ -94,10 +94,10 @@ def _result_indices(scenario: Scenario, strategies: np.ndarray) -> np.ndarray:
     """(H, n_joint) encoded result of each (l, s) outcome table in ``strategies`` under each joint setting."""
     l, s, d = scenario.parties, scenario.settings_per_party, scenario.outcomes_per_setting
     joint = np.arange(scenario.n_joint_settings, dtype=np.int64)
-    indices = joint * d**l  # the settings digits; party p's outcome digit has weight d^(l-1-p)
-    for p in range(l):
+    indices = joint * d**l  # the settings digits
+    for p, weight in enumerate(_place_values(scenario)[1]):
         # np.take keeps the table row-major; on a column-major one fpbr's ratio[indices] @ w rounds differently
-        indices = indices + np.take(strategies[:, p], (joint // s ** (l - 1 - p)) % s, axis=1) * d ** (l - 1 - p)
+        indices = indices + np.take(strategies[:, p], (joint // s ** (l - 1 - p)) % s, axis=1) * weight
     return indices
 
 

@@ -1,4 +1,4 @@
-"""Experiment configurations, trial records, the encoded result space, and file IO.
+"""Experiment configurations, the encoded result space, and file IO.
 
 A trial result is encoded as a mixed-radix integer whose most significant
 digits are the per-party settings (party 1 first, 0-based internally) followed
@@ -11,7 +11,6 @@ import json
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -74,29 +73,6 @@ class Scenario:
         return bool(np.allclose(self.setting_distribution, 1.0 / self.n_joint_settings, rtol=0, atol=1e-12))
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    """One trial: per-party 1-based setting choices and 0-based outcome indices."""
-
-    settings: tuple[int, ...]
-    outcomes: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "settings", tuple(int(u) for u in self.settings))
-        object.__setattr__(self, "outcomes", tuple(int(a) for a in self.outcomes))
-
-    def validate_for(self, scenario: Scenario) -> None:
-        l, s, d = scenario.parties, scenario.settings_per_party, scenario.outcomes_per_setting
-        if len(self.settings) != l or len(self.outcomes) != l:
-            raise ValueError(f"trial has {len(self.settings)} settings / {len(self.outcomes)} outcomes, expected {l}")
-        for i, u in enumerate(self.settings):
-            if not 1 <= u <= s:
-                raise ValueError(f"setting {u} of party {i + 1} outside 1..{s}")
-        for i, a in enumerate(self.outcomes):
-            if not 0 <= a < d:
-                raise ValueError(f"outcome {a} of party {i + 1} outside 0..{d - 1}")
-
-
 def result_space_size(scenario: Scenario) -> int:
     """Number of distinct trial results, (d*s)^l; at most 2^63, as every scenario is."""
     return (scenario.outcomes_per_setting * scenario.settings_per_party) ** scenario.parties
@@ -129,26 +105,29 @@ def _place_values(scenario: Scenario) -> tuple[list[int], list[int]]:
     return [s ** (l - 1 - p) * d**l for p in range(l)], [d ** (l - 1 - p) for p in range(l)]
 
 
-def encode_result(scenario: Scenario, x: TrialResult) -> int:
-    """Bijective mixed-radix index of a trial result (settings digits first)."""
-    x.validate_for(scenario)
-    settings, outcomes = _place_values(scenario)
-    return sum((u - 1) * w for u, w in zip(x.settings, settings)) + sum(a * w for a, w in zip(x.outcomes, outcomes))
+def encode_result(scenario: Scenario, settings, outcomes) -> int:
+    """Bijective mixed-radix index of one trial, and the one check of a record: per party, a 1-based setting and a
+    0-based outcome, each a Python or NumPy integer in range; a float, bool or string is refused, never coerced."""
+    l, s, d = scenario.parties, scenario.settings_per_party, scenario.outcomes_per_setting
+    if len(settings) != l or len(outcomes) != l:
+        raise ValueError(f"trial has {len(settings)} settings / {len(outcomes)} outcomes, expected {l}")
+    code, digits = 0, (("setting", settings, 1, s), ("outcome", outcomes, 0, d - 1))
+    for (what, values, lo, hi), weights in zip(digits, _place_values(scenario)):
+        for party, (v, w) in enumerate(zip(values, weights), start=1):
+            if not (isinstance(v, (int, np.integer)) and not isinstance(v, bool) and lo <= v <= hi):
+                raise ValueError(f"{what} {v!r} of party {party} is not an integer in {lo}..{hi}")
+            code += (int(v) - lo) * w
+    return code
 
 
-def decode_result(scenario: Scenario, index: int) -> TrialResult:
-    """Inverse of :func:`encode_result`."""
+def decode_result(scenario: Scenario, index: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Inverse of :func:`encode_result`: the ``(settings, outcomes)`` tuples of a result code."""
     k = result_space_size(scenario)
     if not 0 <= index < k:
         raise ValueError(f"index {index} outside 0..{k - 1}")
     settings, outcomes = _place_values(scenario)
     s, d, index = scenario.settings_per_party, scenario.outcomes_per_setting, int(index)
-    return TrialResult(tuple(index // w % s + 1 for w in settings), tuple(index // w % d for w in outcomes))
-
-
-def encode_trials(scenario: Scenario, trials: Iterable[TrialResult]) -> np.ndarray:
-    """Encode a trial sequence into an int64 index array."""
-    return np.fromiter((encode_result(scenario, x) for x in trials), dtype=np.int64)
+    return tuple(index // w % s + 1 for w in settings), tuple(index // w % d for w in outcomes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,6 +181,18 @@ def empirical_distribution(scenario: Scenario, codes: np.ndarray) -> Distributio
     return Distribution(scenario, np.bincount(enc, minlength=k) / enc.size, empirical=True)
 
 
+def setting_log2_pvalue(scenario: Scenario, codes: np.ndarray) -> float:
+    """log2 of the p-value min(1, (n+1)^J 2^(-n D(f||pi))) of n codes' frequencies f over J joint settings, D in bits;
+    -inf if a setting of probability 0 occurs.  It is valid under the setting distribution pi by the method of types
+    (Cover & Thomas, *Elements of Information Theory*, ch. 11): of at most (n+1)^J types, each type Q with
+    D(Q||pi) >= D(f||pi) has probability at most 2^(-n D(f||pi))."""
+    enc = _encoded(codes, result_space_size(scenario))
+    f = np.bincount(enc // scenario.n_joint_outcomes, minlength=scenario.n_joint_settings) / max(enc.size, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        divergence = float(np.where(f > 0, f * np.log2(f / scenario.setting_distribution), 0.0).sum())
+    return min(0.0, float(scenario.n_joint_settings * np.log2(enc.size + 1) - enc.size * divergence))
+
+
 # ---------------------------------------------------------------------------
 # file formats
 
@@ -250,7 +241,7 @@ def read_trials(path: str | Path, scenario: Scenario) -> np.ndarray:
 
     Each distinct line text is parsed and validated once; a repeat of a valid
     record is one dictionary lookup.  :func:`decode_result` turns an index
-    back into its :class:`TrialResult`.
+    back into its ``(settings, outcomes)`` tuples.
     """
     codes: dict[str, int] = {}
     out = array("q")
@@ -272,12 +263,10 @@ def read_trials(path: str | Path, scenario: Scenario) -> np.ndarray:
                     continue
                 if not isinstance(obj, dict) or "settings" not in obj or "outcomes" not in obj:
                     raise TrialFormatError(f"{path}: line {lineno}: record must carry 'settings' and 'outcomes'")
-                fields = (obj["settings"], obj["outcomes"])
-                # JSON integers only: a float, bool or string would otherwise be coerced by int()
-                if not all(isinstance(v, list) and all(type(x) is int for x in v) for v in fields):
-                    raise TrialFormatError(f"{path}: line {lineno}: 'settings' and 'outcomes' must be lists of integers")
+                if not (isinstance(obj["settings"], list) and isinstance(obj["outcomes"], list)):
+                    raise TrialFormatError(f"{path}: line {lineno}: 'settings' and 'outcomes' must be lists")
                 try:
-                    code = encode_result(scenario, TrialResult(tuple(fields[0]), tuple(fields[1])))
+                    code = encode_result(scenario, obj["settings"], obj["outcomes"])
                 except ValueError as exc:
                     raise TrialFormatError(f"{path}: line {lineno}: {exc}") from exc
                 if len(codes) < LINE_CACHE_SIZE:  # only valid records are remembered
@@ -292,8 +281,8 @@ def write_trials(path: str | Path, scenario: Scenario, codes: np.ndarray, header
     with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write(json.dumps({"scenario": scenario_to_json(scenario)}, separators=(",", ":")) + "\n")
-        for x in (decode_result(scenario, int(i)) for i in codes):
-            fh.write(json.dumps({"settings": list(x.settings), "outcomes": list(x.outcomes)}, separators=(",", ":")) + "\n")
+        for settings, outcomes in (decode_result(scenario, int(i)) for i in codes):
+            fh.write(json.dumps({"settings": list(settings), "outcomes": list(outcomes)}, separators=(",", ":")) + "\n")
 
 
 def read_distribution(path: str | Path) -> Distribution:

@@ -468,6 +468,46 @@ def test_gain_refuses_an_empty_range_or_a_non_integer_outcome_count(capsys, d):
     assert "range" in captured.err or "integer outcome count" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["--sweep", "chsh", "--d", "3..5"], "--d applies only to --sweep cglmp"),
+        (["--sweep", "cglmp", "--theta", "0.1"], "--theta applies only to --sweep chsh"),
+        (["--config", "cglmp:3", "--theta", "0.1"], "--theta applies only to --sweep chsh"),
+        (["--config", "cglmp:3", "--d", "3"], "--d applies only to --sweep cglmp"),
+    ],
+)
+def test_gain_refuses_a_values_flag_its_source_does_not_read(capsys, argv, flag):
+    # each of these printed a table that ignored the flag, with exit 0
+    assert main(["gain", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag}\n"
+
+
+def _write_settings_file(path, joint_settings):
+    # header-less records of the LR strategy "all outcomes 0" at the given 0-based joint settings of (2,2,2)
+    path.write_text("".join(f'{{"settings":[{j // 2 + 1},{j % 2 + 1}],"outcomes":[0,0]}}\n' for j in joint_settings))
+
+
+def test_analyze_refuses_setting_counts_that_refute_the_declared_distribution(tmp_path, capsys):
+    # settings drawn at (0.3, 0.3, 0.3, 0.1) on LR data read p = 3.83e-64 (mart), 7.42e-61 (spbr) and 5.33e-60 (fpbr)
+    path = tmp_path / "biased.jsonl"
+    _write_settings_file(path, np.random.default_rng(0).choice(4, 2000, p=[0.3, 0.3, 0.3, 0.1]).tolist())
+    assert main(["analyze", str(path), "--scenario", "2,2,2", "--protocol", "mart,spbr,fpbr"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the setting counts refute the declared setting distribution (p <= 2^-166.9, below 1e-06)" in captured.err
+
+
+def test_analyze_reads_a_file_of_uniform_settings(tmp_path, capsys):
+    path = tmp_path / "uniform.jsonl"
+    _write_settings_file(path, np.random.default_rng(0).choice(4, 2000).tolist())
+    assert main(["analyze", str(path), "--scenario", "2,2,2", "--protocol", "mart,spbr,fpbr"]) == 0
+    out = capsys.readouterr().out
+    assert all(f"protocol={name} n=2000" in out for name in ("mart", "spbr", "fpbr"))
+
+
 @pytest.mark.parametrize("argv", [["quantum"], ["simulate", "--trials", "10"], ["gain"]])
 def test_unknown_configuration_family_has_one_message(capsys, argv):
     assert main(argv + ["--config", "foo:1"]) == 2

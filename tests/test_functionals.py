@@ -14,7 +14,6 @@ from bellcert import (
     SizeLimitError,
     StandardizationError,
     StandardizedFunctional,
-    TrialResult,
     UnknownFunctionalError,
     build_function_set,
     catalog_names,
@@ -34,7 +33,7 @@ from oracles import embedded_chsh_table, enumerate_strategy_distributions, enume
 
 
 def _eval_on(f, settings, outcomes):
-    return f.table[encode_result(f.scenario, TrialResult(settings, outcomes))]
+    return f.table[encode_result(f.scenario, settings, outcomes)]
 
 
 def test_chsh_values(chsh_scenario):
@@ -56,10 +55,10 @@ def test_chsh_wrong_scenario():
 def test_standardize_chsh(chsh_scenario):
     f = chsh_functional(chsh_scenario)
     r = standardize(f)
-    x_max = TrialResult((1, 1), (0, 0))  # I = 4
-    assert r.table[encode_result(chsh_scenario, x_max)] == pytest.approx((4.0 + 4.0) / 6.0)
-    x_min = TrialResult((2, 2), (0, 0))  # I = b
-    assert r.table[encode_result(chsh_scenario, x_min)] == 0.0
+    x_max = encode_result(chsh_scenario, (1, 1), (0, 0))  # I = 4
+    assert r.table[x_max] == pytest.approx((4.0 + 4.0) / 6.0)
+    x_min = encode_result(chsh_scenario, (2, 2), (0, 0))  # I = b
+    assert r.table[x_min] == 0.0
 
 
 def test_standardize_boundary_values():

@@ -7,7 +7,6 @@ from bellcert import lrpolytope
 from bellcert import (
     Scenario,
     SizeLimitError,
-    TrialResult,
     chsh_functional,
     encode_result,
     enumerate_strategies,
@@ -46,7 +45,7 @@ def test_enumerate_cap():
 
 def test_strategy_distribution_all_zero(chsh_scenario):
     dist = strategy_distribution(chsh_scenario, np.zeros((2, 2), dtype=int))
-    expected = {encode_result(chsh_scenario, TrialResult((u, v), (0, 0))) for u in (1, 2) for v in (1, 2)}
+    expected = {encode_result(chsh_scenario, (u, v), (0, 0)) for u in (1, 2) for v in (1, 2)}
     assert set(dist.support()) == expected
     assert np.allclose(dist.probs[sorted(expected)], 0.25)
     assert dist.probs.sum() == pytest.approx(1.0)

@@ -1,7 +1,6 @@
 """Property tests for the result encoding and the two JSON input files.
 
-The encoding must be a bijection that the vectorized ``encode_trials`` agrees
-with on every scenario within the caps.  A distribution file or a functional
+The encoding must be a bijection on every scenario within the caps.  A distribution file or a functional
 file with a non-finite, negative or non-normalised entry, or with a key
 missing, must be refused by its reader and make the command that reads it
 exit 2.
@@ -17,10 +16,8 @@ from hypothesis import strategies as st
 from bellcert import (
     BellcertError,
     Scenario,
-    TrialResult,
     decode_result,
     encode_result,
-    encode_trials,
     load_functional_file,
     read_distribution,
     result_space_size,
@@ -45,7 +42,7 @@ def results(draw, sc):
     l, s, d = sc.parties, sc.settings_per_party, sc.outcomes_per_setting
     settings_ = draw(st.lists(st.integers(1, s), min_size=l, max_size=l))
     outcomes = draw(st.lists(st.integers(0, d - 1), min_size=l, max_size=l))
-    return TrialResult(tuple(settings_), tuple(outcomes))
+    return tuple(settings_), tuple(outcomes)
 
 
 @SETTINGS
@@ -53,21 +50,11 @@ def results(draw, sc):
 def test_decode_inverts_encode(data):
     sc = data.draw(scenarios_within_caps())
     x = data.draw(results(sc))
-    index = encode_result(sc, x)
+    index = encode_result(sc, *x)
     assert 0 <= index < result_space_size(sc)
     assert decode_result(sc, index) == x
     i = data.draw(st.integers(0, result_space_size(sc) - 1))
-    assert encode_result(sc, decode_result(sc, i)) == i
-
-
-@SETTINGS
-@given(data=st.data())
-def test_encode_trials_matches_per_record_encoding(data):
-    sc = data.draw(scenarios_within_caps())
-    trials = data.draw(st.lists(results(sc), max_size=30))
-    enc = encode_trials(sc, trials)
-    assert enc.dtype == np.int64
-    assert enc.tolist() == [encode_result(sc, x) for x in trials]
+    assert encode_result(sc, *decode_result(sc, i)) == i
 
 
 # one corrupted entry: non-finite, JSON null, or negative

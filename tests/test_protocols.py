@@ -19,12 +19,10 @@ from bellcert import (
     SizeLimitError,
     StandardizationError,
     StandardizedFunctional,
-    TrialResult,
     azuma_pvalue,
     build_function_set,
     chsh_functional,
     encode_result,
-    encode_trials,
     gain_martingale,
     gain_spbr,
     kl_project_lr,
@@ -108,18 +106,18 @@ def test_mart_not_looser_than_azuma_random():
 
 def test_run_martingale_alternating(chsh_scenario):
     f = chsh_functional(chsh_scenario)
-    plus = TrialResult((1, 1), (0, 0))  # I = +4
-    minus = TrialResult((2, 2), (0, 0))  # I = -4
-    analysis = run_martingale(encode_trials(chsh_scenario, [plus, minus] * 10), f)
+    plus = encode_result(chsh_scenario, (1, 1), (0, 0))  # I = +4
+    minus = encode_result(chsh_scenario, (2, 2), (0, 0))  # I = -4
+    analysis = run_martingale(np.array([plus, minus] * 10), f)
     assert analysis.mean == 0.0
     assert analysis.pvalue == 1.0
 
 
 def test_run_martingale_all_max(chsh_scenario):
     f = chsh_functional(chsh_scenario)
-    plus = TrialResult((1, 1), (0, 0))
+    plus = encode_result(chsh_scenario, (1, 1), (0, 0))
     n = 25
-    analysis = run_martingale(encode_trials(chsh_scenario, [plus] * n), f)
+    analysis = run_martingale(np.array([plus] * n), f)
     assert analysis.pvalue == pytest.approx((3.0 / 4.0) ** n, rel=1e-12)
     hist = analysis.history()
     assert hist.shape == (n, 3)
@@ -129,7 +127,7 @@ def test_run_martingale_all_max(chsh_scenario):
 def test_run_martingale_mean_rounding_past_the_range_is_clipped(chsh_scenario):
     # three scores of 0.4 sum to 1.2000000000000002, so the raw running mean rounds past sup_a = 0.4
     f = Functional("scaled", chsh_scenario, 0.2, 0.1 * chsh_functional(chsh_scenario).table)
-    analysis = run_martingale(encode_trials(chsh_scenario, [TrialResult((1, 1), (0, 0))] * 3), f)
+    analysis = run_martingale(np.array([encode_result(chsh_scenario, (1, 1), (0, 0))] * 3), f)
     assert analysis.mean == f.sup_a == 0.4
     assert analysis.pvalue == pytest.approx(0.75**3, rel=1e-12)
     hist = analysis.history()
@@ -158,8 +156,8 @@ def test_spbr_zero_r_data_keeps_trivial_weights(chsh_scenario):
     # scores log2 of the trivial weight, so every running total is exactly 0
     # iff every refit keeps weight exactly 1 on the trivial function.
     functions = build_function_set(["chsh"], chsh_scenario)
-    x = TrialResult((2, 2), (0, 0))  # I = -4, r = 0
-    analysis = run_simplified_pbr(encode_trials(chsh_scenario, [x] * 60), functions, block_size=10)
+    x = encode_result(chsh_scenario, (2, 2), (0, 0))  # I = -4, r = 0
+    analysis = run_simplified_pbr(np.array([x] * 60), functions, block_size=10)
     assert analysis.log2_t == 0.0
     assert analysis.pvalue == 1.0
     assert np.all(analysis.history()[:, 1] == 0.0)
@@ -287,8 +285,8 @@ def test_fpbr_lr_support_stays_near_one(chsh_scenario):
 
 def test_fpbr_zero_floor_flags_new_results(chsh_scenario):
     # with no floor, a result first seen after the first refit has ratio 0
-    seen = encode_result(chsh_scenario, TrialResult((1, 1), (0, 0)))
-    newcomer = encode_result(chsh_scenario, TrialResult((2, 2), (1, 1)))
+    seen = encode_result(chsh_scenario, (1, 1), (0, 0))
+    newcomer = encode_result(chsh_scenario, (2, 2), (1, 1))
     trials = np.array([seen] * 10 + [newcomer], dtype=np.int64)
     analysis = run_full_pbr(trials, chsh_scenario, block_size=10, floor=0.0)
     assert analysis.log2_t == -math.inf
@@ -359,7 +357,7 @@ def test_select_protocols_names_the_first_unknown_entry():
         np.array([3, 16, 0], dtype=np.int64),
         np.array([3, -1, 0], dtype=np.int64),
         np.array([3, 2**40, 0], dtype=np.int64),
-        [TrialResult((1, 1), (0, 0))] * 3,  # records are encoded at the file boundary, never here
+        [((1, 1), (0, 0))] * 3,  # records are encoded at the file boundary, never here
         np.array([3.0, 1.0, 0.0]),
     ],
     ids=["16", "-1", "1099511627776", "records", "floats"],
@@ -477,7 +475,7 @@ def test_a_result_at_an_impossible_joint_setting_is_refused(zero_setting_q):
     # unflagged: log2 T fell from 489.92 to -4080.36
     scenario = zero_setting_q.scenario
     enc = sample_encoded(zero_setting_q, 20_000, seed=1)
-    enc[100] = encode_result(scenario, TrialResult((3, 3), (0, 1)))
+    enc[100] = encode_result(scenario, (3, 3), (0, 1))
     for analysis in (FullPbrAnalysis(scenario, 500), SimplifiedPbrAnalysis([trivial_standardized(scenario)], 500)):
         analysis.extend(enc[:100])
         with pytest.raises(ValueError, match="trial 101: result 33 is at a joint setting of probability 0"):

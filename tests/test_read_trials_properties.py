@@ -81,7 +81,7 @@ MALFORMED = [
 )
 def test_repeated_malformed_line_fails_at_its_first_line(tmp_path_factory, valid, bad, repeats):
     sc = Scenario(2, 2, 2)
-    good = [json.dumps({"settings": list(x.settings), "outcomes": list(x.outcomes)}) for x in (decode_result(sc, i) for i in valid)]
+    good = [json.dumps({"settings": list(u), "outcomes": list(a)}) for u, a in (decode_result(sc, i) for i in valid)]
     lines = good + [bad]
     for r in repeats:  # later copies of the same text, among further valid lines
         lines += [good[r % len(good)], bad]
@@ -110,7 +110,7 @@ def test_more_distinct_lines_than_the_cache_holds(tmp_path_factory, data, cap):
     sc, codes = data
     # an extra key gives one record several line texts, so the cache fills after `cap` of them
     trials = [decode_result(sc, int(c)) for c in codes]
-    lines = [json.dumps({"settings": list(x.settings), "outcomes": list(x.outcomes), "id": i % 7}) for i, x in enumerate(trials)]
+    lines = [json.dumps({"settings": list(u), "outcomes": list(a), "id": i % 7}) for i, (u, a) in enumerate(trials)]
     path = tmp_path_factory.mktemp("cap") / "t.jsonl"
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     with mock.patch.object(scenario_module, "LINE_CACHE_SIZE", cap):
@@ -123,8 +123,8 @@ def test_full_cache_still_validates_new_lines(tmp_path):
     n = scenario_module.LINE_CACHE_SIZE + 500
     codes = np.arange(n) % 16
     lines = [
-        json.dumps({"settings": list(x.settings), "outcomes": list(x.outcomes), "id": i})
-        for i, x in enumerate(decode_result(sc, int(c)) for c in codes)
+        json.dumps({"settings": list(u), "outcomes": list(a), "id": i})
+        for i, (u, a) in enumerate(decode_result(sc, int(c)) for c in codes)
     ]
     path = tmp_path / "t.jsonl"
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")

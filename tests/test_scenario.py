@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from bellcert import (
     ScenarioMismatchError,
     SizeLimitError,
     TrialFormatError,
-    TrialResult,
     chsh_functional,
     decode_result,
     empirical_distribution,
@@ -22,7 +23,7 @@ from bellcert import (
     write_distribution,
     write_trials,
 )
-from bellcert.scenario import encode_trials, scenario_from_json, scenario_to_json
+from bellcert.scenario import scenario_from_json, scenario_to_json, setting_log2_pvalue
 
 
 def test_result_space_size():
@@ -56,19 +57,59 @@ def test_scenario_validation():
 
 
 def test_encode_examples(chsh_scenario):
-    assert encode_result(chsh_scenario, TrialResult((1, 1), (0, 0))) == 0
-    assert encode_result(chsh_scenario, TrialResult((2, 2), (1, 1))) == 15
+    assert encode_result(chsh_scenario, (1, 1), (0, 0)) == 0
+    assert encode_result(chsh_scenario, (2, 2), (1, 1)) == 15
     # mixed-radix arithmetic: (((0*2)+1)*2+1)*2+0
-    assert encode_result(chsh_scenario, TrialResult((1, 2), (1, 0))) == (((0 * 2) + 1) * 2 + 1) * 2 + 0
+    assert encode_result(chsh_scenario, (1, 2), (1, 0)) == (((0 * 2) + 1) * 2 + 1) * 2 + 0
 
 
 def test_encode_range_errors(chsh_scenario):
     with pytest.raises(ValueError):
-        encode_result(chsh_scenario, TrialResult((0, 1), (0, 0)))
+        encode_result(chsh_scenario, (0, 1), (0, 0))
     with pytest.raises(ValueError):
-        encode_result(chsh_scenario, TrialResult((1, 1), (0, 2)))
+        encode_result(chsh_scenario, (1, 1), (0, 2))
     with pytest.raises(ValueError):
-        encode_result(chsh_scenario, TrialResult((1,), (0,)))
+        encode_result(chsh_scenario, (1,), (0,))
+
+
+@pytest.mark.parametrize("field", ["setting", "outcome"])
+@pytest.mark.parametrize("value", [1.9, True, "2", 3, -1])
+def test_encode_refuses_an_entry_that_is_not_an_integer_in_range(chsh_scenario, field, value):
+    # the float, bool and string were once coerced by int(): setting 1.9 of party 2 was encoded as setting 1
+    settings, outcomes = [1, 2], [1, 0]
+    (settings if field == "setting" else outcomes)[1] = value
+    allowed = "1..2" if field == "setting" else "0..1"
+    with pytest.raises(ValueError, match=re.escape(f"{field} {value!r} of party 2 is not an integer in {allowed}")):
+        encode_result(chsh_scenario, settings, outcomes)
+
+
+def test_encode_accepts_numpy_integers(chsh_scenario):
+    for dtype in (np.int64, np.int32, np.uint8):
+        assert encode_result(chsh_scenario, np.array([1, 2], dtype=dtype), np.array([1, 0], dtype=dtype)) == 6
+    assert encode_result(chsh_scenario, (np.int64(2), 2), (np.uint64(1), 1)) == 15
+
+
+@pytest.mark.parametrize(
+    "dist,n",
+    [(None, 1), (None, 40), ([0.8, 0.2], 60), ([0.5, 0.5], 200), ([0.99, 0.01], 200)],
+)
+def test_setting_bound_is_a_valid_pvalue(dist, n):
+    # exact, over every type of n trials: P(bound <= t) <= t at each bound value t the types attain
+    sc = Scenario(1, 2, 1, None if dist is None else np.array(dist))
+    q = sc.setting_distribution[1]
+    bounds = np.array([setting_log2_pvalue(sc, np.array([0] * (n - k) + [1] * k)) for k in range(n + 1)])
+    probs = np.array([math.comb(n, k) * q**k * (1 - q) ** (n - k) for k in range(n + 1)])
+    for t in np.unique(bounds):
+        assert probs[bounds <= t].sum() <= 2.0**t * (1 + 1e-9)
+
+
+def test_setting_bound_of_uniform_and_biased_settings(chsh_scenario):
+    assert setting_log2_pvalue(chsh_scenario, np.arange(2000) % 16) == 0.0
+    assert setting_log2_pvalue(chsh_scenario, np.zeros(0, dtype=np.int64)) == 0.0
+    # all 50 trials at one setting: D = 2 bits, so the bound is 51^4 2^-100
+    assert setting_log2_pvalue(chsh_scenario, np.zeros(50, dtype=np.int64)) == pytest.approx(4 * np.log2(51) - 100)
+    zero = Scenario(2, 2, 2, np.array([0.5, 0.5, 0.0, 0.0]))
+    assert setting_log2_pvalue(zero, np.array([0, 4, 8])) == -np.inf
 
 
 @pytest.mark.parametrize("l,s,d", [(2, 2, 2), (2, 2, 3), (3, 2, 2), (1, 3, 4)])
@@ -78,9 +119,8 @@ def test_encode_decode_bijective(l, s, d):
     seen = set()
     for i in range(k):
         x = decode_result(sc, i)
-        x.validate_for(sc)
-        assert encode_result(sc, x) == i
-        seen.add((x.settings, x.outcomes))
+        assert encode_result(sc, *x) == i
+        seen.add(x)
     assert len(seen) == k
 
 
@@ -92,19 +132,19 @@ def test_decode_out_of_range(chsh_scenario):
 
 
 def test_empirical_point_mass(chsh_scenario):
-    x0 = TrialResult((1, 2), (1, 0))
-    dist = empirical_distribution(chsh_scenario, encode_trials(chsh_scenario, [x0] * 4))
+    x0 = encode_result(chsh_scenario, (1, 2), (1, 0))
+    dist = empirical_distribution(chsh_scenario, np.array([x0] * 4))
     expected = np.zeros(16)
-    expected[encode_result(chsh_scenario, x0)] = 1.0
+    expected[x0] = 1.0
     assert np.array_equal(dist.probs, expected)
     assert dist.empirical
 
 
 def test_empirical_two_point(chsh_scenario):
-    x0, x1 = TrialResult((1, 1), (0, 0)), TrialResult((2, 1), (1, 1))
-    dist = empirical_distribution(chsh_scenario, encode_trials(chsh_scenario, [x0, x1]))
-    assert dist.probs[encode_result(chsh_scenario, x0)] == 0.5
-    assert dist.probs[encode_result(chsh_scenario, x1)] == 0.5
+    x0, x1 = encode_result(chsh_scenario, (1, 1), (0, 0)), encode_result(chsh_scenario, (2, 1), (1, 1))
+    dist = empirical_distribution(chsh_scenario, np.array([x0, x1]))
+    assert dist.probs[x0] == 0.5
+    assert dist.probs[x1] == 0.5
 
 
 def test_empirical_empty_rejected(chsh_scenario):
@@ -176,14 +216,14 @@ def test_trials_empty_file(tmp_path, chsh_scenario):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
     back = read_trials(path, chsh_scenario)
-    assert back.dtype == np.int64 and np.array_equal(back, encode_trials(chsh_scenario, []))
+    assert back.dtype == np.int64 and back.size == 0
 
 
 def test_trials_single_line(tmp_path, chsh_scenario):
     path = tmp_path / "one.jsonl"
     path.write_text('{"settings":[1,2],"outcomes":[0,1]}\n')
     back = read_trials(path, chsh_scenario)
-    assert np.array_equal(back, encode_trials(chsh_scenario, [TrialResult((1, 2), (0, 1))]))
+    assert back.tolist() == [encode_result(chsh_scenario, (1, 2), (0, 1))]
 
 
 def test_trials_malformed_line_reports_number(tmp_path, chsh_scenario):
@@ -247,11 +287,6 @@ def test_distribution_file_empirical_must_be_a_boolean(tmp_path, chsh_q, empiric
     path.write_text(json.dumps({**json.loads(path.read_text()), "empirical": empirical}))
     with pytest.raises(TrialFormatError, match="'empirical' must be a JSON boolean"):
         read_distribution(path)
-
-
-def test_encode_trials_vector(chsh_scenario):
-    trials = [TrialResult((1, 1), (0, 0)), TrialResult((2, 2), (1, 1))]
-    assert encode_trials(chsh_scenario, trials).tolist() == [0, 15]
 
 
 def test_array_bearing_types_compare_by_identity(chsh_q):

@@ -6,7 +6,8 @@
 #
 # Each tree is a checkout of this repository; its own src/ goes on PYTHONPATH.
 # Inputs come from NEW_TREE's perfbench/ (the analyze_chsh_ns trial file at
-# workload seed 1) and from numpy (a three-party GHZ source and its Mermin
+# workload seed 1, a 100,000-line copy whose lines all differ and a header-less
+# 2,000-line copy) and from numpy (a three-party GHZ source and its Mermin
 # functional), so both trees read the same bytes.  Every command runs with
 # one BLAS thread and PYTHONHASHSEED=0.  Each tree's output directory is
 # replaced by OUT in the captured text before the comparison.  Exits 0 when
@@ -25,13 +26,21 @@ trap 'rm -rf "$work"' EXIT
 export PYTHONHASHSEED=0 OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1
 
 mkdir -p "$work/input"
-python3 - "$new/perfbench" "$work/input/trials.jsonl" <<'EOF'
+python3 - "$new/perfbench" "$work/input" <<'EOF'
 import sys
+from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 import inputs
-inputs.write_trial_file(sys.argv[2], inputs.sample_chsh_indices(200_000, 1))
+work = Path(sys.argv[2])
+inputs.write_trial_file(work / "trials.jsonl", inputs.sample_chsh_indices(200_000, 1))
+records = (work / "trials.jsonl").read_text(encoding="utf-8").splitlines()[1:]
+# an "id" key makes every line differ, past read_trials' 2^16-text line cache
+(work / "distinct.jsonl").write_text("".join(f'{r[:-1]},"id":{i}}}\n' for i, r in enumerate(records[:100_000])), encoding="utf-8")
+(work / "no_header.jsonl").write_text("".join(r + "\n" for r in records[:2000]), encoding="utf-8")
 EOF
 trials="$work/input/trials.jsonl"
+distinct="$work/input/distinct.jsonl"
+no_header="$work/input/no_header.jsonl"
 # the (3,2,2) GHZ source with X/Y settings and the Mermin functional 8 E (-1)^(a+b+c), LR bound 2
 ghz="$work/input/ghz.json"
 mermin="$work/input/mermin.json"
@@ -53,6 +62,8 @@ EOF
 # name|arguments of bellcert.cli; @OUT@ stands for the command's own output directory
 commands=(
     "analyze_chsh_ns|analyze $trials --scenario 2,2,2 --functions chsh,nosignaling --protocol mart,spbr --block 154 --out @OUT@"
+    "analyze_distinct|analyze $distinct --scenario 2,2,2 --functions chsh,nosignaling --protocol mart,spbr --block 154 --out @OUT@"
+    "analyze_no_header|analyze $no_header --scenario 2,2,2 --protocol mart,spbr,fpbr --block 50 --out @OUT@"
     "simulate_cglmp3|simulate --config cglmp:3 --trials 10000 --block 154 --protocol mart,spbr,fpbr --out @OUT@"
     "fpbr_spbr_chsh|simulate --config chsh:0.6 --trials 2000 --protocol fpbr,spbr --floor 0 --block 9 --max-iter 50"
     "fpbr_cglmp4|simulate --config cglmp:4 --trials 3000 --block 50 --protocol fpbr"
