@@ -32,9 +32,10 @@ def _freeze_table(f: Functional | StandardizedFunctional) -> np.ndarray:
 
 
 def _lr_maximum_above(scenario: Scenario, table: np.ndarray, bound: float) -> float | None:
-    """The table's LR maximum where it exceeds ``bound`` beyond 1e-9 of its largest |value|, else None."""
-    top = float(lr_maximum(scenario, table[None])[0])
-    return top if bound < top - 1e-9 * float(np.abs(table).max()) else None
+    """The table's LR maximum where it exceeds ``bound`` beyond 1e-9 of the LR maximum of |table|, else None; both
+    weigh a result by its setting's probability, so a value at a rare or impossible setting cannot widen the slack."""
+    top, scale = lr_maximum(scenario, np.vstack((table, np.abs(table)))).tolist()
+    return top if bound < top - 1e-9 * scale else None
 
 
 @dataclass(frozen=True, eq=False)

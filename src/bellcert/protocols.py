@@ -20,10 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .functionals import Functional, StandardizedFunctional, _function_columns
+from .functionals import Functional, StandardizedFunctional, _function_columns, expectation
 from .lrpolytope import _require_projection_fits, lr_maximum
-from .optim import DEFAULT_CONTROLS, OptimizerControls, _project_rows, maximize_log_gain
-from .scenario import Scenario, _dense_size, _encoded
+from .optim import DEFAULT_CONTROLS, GainOptimum, OptimizerControls, _project_rows, kl_project_lr, maximize_log_gain
+from .scenario import Distribution, Scenario, _dense_size, _encoded
 
 # Smallest positive double; reported p-values are clamped here instead of 0.
 P_FLOOR = 5e-324
@@ -69,6 +69,23 @@ def gain_martingale(i_q, a: float, b: float, bound: float):
     return float(rate) if rate.ndim == 0 else rate
 
 
+def gain_spbr(
+    q: Distribution,
+    functions: Sequence[StandardizedFunctional],
+    controls: OptimizerControls = DEFAULT_CONTROLS,
+) -> GainOptimum:
+    """Best log-gain rate over convex weightings of the function set, at exact probabilities q.
+
+    ``functions[0]`` must be the trivial function.
+    """
+    return maximize_log_gain(_function_columns(functions, q.scenario), q.probs, controls)
+
+
+def optimal_gain(q: Distribution, controls: OptimizerControls = DEFAULT_CONTROLS) -> float:
+    """Minimum KL divergence from q to any LR model: the best achievable rate."""
+    return kl_project_lr(q, controls).divergence
+
+
 def martingale_pvalue(i_hat: float, n: int, a: float, b: float, bound: float) -> float:
     """Hoeffding-style supermartingale bound on the LR tail of the running mean.
 
@@ -98,12 +115,15 @@ class BlockAnalysis:
     """The block-scoring engine shared by the three protocols.
 
     Subclasses are predictors: the constructor passes the score table of the
-    first block, and ``_predict(counts, n)`` is a pure function that returns,
+    first block, and ``predict(counts, n)`` is a pure function that returns,
     for blocks starting after trials ``n`` that saw the rows of ``counts``,
     their (blocks, K) score tables and a per-block flag, False where the refit
     hit the iteration budget.  Trials arrive through :meth:`extend` as int64
     encoded result indices, in chunks of any size; the history does not depend
     on the chunking.  A result at a joint setting of probability 0 is refused.
+
+    A protocol in :data:`PROTOCOLS` is a subclass with static methods ``run(trials, functions, block_size,
+    controls, floor)``, its analysis, and ``rate(q, functions, controls)``, its exact rate in bits per trial.
     """
 
     statistic_name = "log2_T"
@@ -133,7 +153,7 @@ class BlockAnalysis:
     def extend(self, trials: np.ndarray) -> None:
         """Score encoded trials in order, with the table refreshed at each block boundary.
 
-        One :meth:`_predict` call per pass gives the tables of the blocks starting in it; a pass
+        One :meth:`predict` call per pass gives the tables of the blocks starting in it; a pass
         spans at most ``_pass_blocks`` blocks, which bounds its work arrays and the predictor's.
         """
         k, size = self.table.size, min(self.block_size, sys.maxsize)  # no run reaches sys.maxsize trials
@@ -152,7 +172,7 @@ class BlockAnalysis:
             fresh = starts >= max(self.n, 1)  # blocks that start in this pass, after trial 1
             tables, capped = self.table[None], starts[:0]
             if fresh.any():
-                refits, fitted = self._predict(np.vstack((self.counts, seen[:-1]))[fresh], starts[fresh])
+                refits, fitted = self.predict(np.vstack((self.counts, seen[:-1]))[fresh], starts[fresh])
                 tables, capped = np.vstack((tables, refits))[-len(seen) :], starts[fresh][~fitted]
             scores = self._scores(tables.ravel()[cell])
             # by trial, each block's budget warning before its zero-ratio warnings
@@ -218,6 +238,15 @@ class MartingaleAnalysis(BlockAnalysis):
     def mean(self) -> float:
         return self.statistic
 
+    @staticmethod
+    def run(trials, functions, block_size, controls, floor):
+        return run_martingale(trials, _mart_functional(functions))
+
+    @staticmethod
+    def rate(q, functions, controls):
+        f = _mart_functional(functions)
+        return gain_martingale(expectation(f, q), f.sup_a, f.inf_b, f.bound_B)
+
 
 class SimplifiedPbrAnalysis(BlockAnalysis):
     """Weighted-function protocol: the table is ``R @ w`` for the function tables R.
@@ -245,7 +274,7 @@ class SimplifiedPbrAnalysis(BlockAnalysis):
         self.controls = controls
         super().__init__(functions[0].scenario, block_size, functions[0].table)
 
-    def _predict(self, counts, n):
+    def predict(self, counts, n):
         tables, fitted = np.empty(counts.shape), np.empty(n.size, dtype=bool)
         for i, (seen, m) in enumerate(zip(counts, n)):
             opt = maximize_log_gain(self._r, seen / m, self.controls)
@@ -255,6 +284,14 @@ class SimplifiedPbrAnalysis(BlockAnalysis):
     @property
     def log2_t(self) -> float:
         return self.statistic
+
+    @staticmethod
+    def run(trials, functions, block_size, controls, floor):
+        return run_simplified_pbr(trials, functions, block_size, controls)
+
+    @staticmethod
+    def rate(q, functions, controls):
+        return gain_spbr(q, functions, controls).gain
 
 
 class FullPbrAnalysis(BlockAnalysis):
@@ -295,7 +332,7 @@ class FullPbrAnalysis(BlockAnalysis):
         h = _require_projection_fits(scenario, int(self.possible.sum()))
         self._pass_blocks = max(PASS_ENTRIES // max(h, self.table.size), 1)
 
-    def _predict(self, counts, n):
+    def predict(self, counts, n):
         freq = (1.0 - self.floor) * (counts / n[:, None]) + self._floor_table
         # a cold start leaves every strategy reachable; convergence keeps the
         # rescue rescale below log2(1 + rel_tolerance) bits per trial
@@ -309,6 +346,14 @@ class FullPbrAnalysis(BlockAnalysis):
     @property
     def log2_t(self) -> float:
         return self.statistic
+
+    @staticmethod
+    def run(trials, functions, block_size, controls, floor):
+        return run_full_pbr(trials, functions[0].scenario, block_size, controls, floor)
+
+    @staticmethod
+    def rate(q, functions, controls):
+        return optimal_gain(q, controls)
 
 
 def run_martingale(trials: np.ndarray, functional: Functional) -> MartingaleAnalysis:
@@ -354,20 +399,12 @@ def _mart_functional(functions: Sequence[StandardizedFunctional]) -> Functional:
     return functions[1].source
 
 
-# Each name's run adapter ``(trials, functions, block_size, controls, floor) -> analysis``;
-# ``functions`` is a standardized set with the trivial function first.  The adapters call
-# the run_* functions through their module-global names, looked up at call time.
-PROTOCOLS = {
-    "mart": lambda trials, functions, block_size, controls, floor: run_martingale(trials, _mart_functional(functions)),
-    "spbr": lambda trials, functions, block_size, controls, floor: run_simplified_pbr(trials, functions, block_size, controls),
-    "fpbr": lambda trials, functions, block_size, controls, floor: run_full_pbr(
-        trials, functions[0].scenario, block_size, controls, floor
-    ),
-}
+# Each protocol's class by name; ``run`` and ``rate`` look up what they call as module globals, at call time.
+PROTOCOLS = {"mart": MartingaleAnalysis, "spbr": SimplifiedPbrAnalysis, "fpbr": FullPbrAnalysis}
 
 
 def select_protocols(names: Sequence[str], block_size: int) -> dict:
-    """Run adapters for one run of distinct named protocols; ValueError for an unknown name or a block size below 1."""
+    """The classes of one run of distinct named protocols; ValueError for an unknown name or a block size below 1."""
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
     if len(set(names)) < len(names):
@@ -380,4 +417,4 @@ def select_protocols(names: Sequence[str], block_size: int) -> dict:
 
 def _run_selection(names: Sequence[str], trials: np.ndarray, functions, block_size, controls, floor) -> dict:
     """The analyses of one array of encoded trials by each protocol that :func:`select_protocols` selects, by name."""
-    return {name: run(trials, functions, block_size, controls, floor) for name, run in select_protocols(names, block_size).items()}
+    return {name: cls.run(trials, functions, block_size, controls, floor) for name, cls in select_protocols(names, block_size).items()}

@@ -105,6 +105,11 @@ def _place_values(scenario: Scenario) -> tuple[list[int], list[int]]:
     return [s ** (l - 1 - p) * d**l for p in range(l)], [d ** (l - 1 - p) for p in range(l)]
 
 
+def _integer_in(v, lo: int, hi: int) -> bool:
+    """Whether v is a Python or NumPy integer, not a bool, in lo..hi: the one integer rule of records and codes."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and lo <= v <= hi
+
+
 def encode_result(scenario: Scenario, settings, outcomes) -> int:
     """Bijective mixed-radix index of one trial, and the one check of a record: per party, a 1-based setting and a
     0-based outcome, each a Python or NumPy integer in range; a float, bool or string is refused, never coerced."""
@@ -114,17 +119,18 @@ def encode_result(scenario: Scenario, settings, outcomes) -> int:
     code, digits = 0, (("setting", settings, 1, s), ("outcome", outcomes, 0, d - 1))
     for (what, values, lo, hi), weights in zip(digits, _place_values(scenario)):
         for party, (v, w) in enumerate(zip(values, weights), start=1):
-            if not (isinstance(v, (int, np.integer)) and not isinstance(v, bool) and lo <= v <= hi):
+            if not _integer_in(v, lo, hi):
                 raise ValueError(f"{what} {v!r} of party {party} is not an integer in {lo}..{hi}")
             code += (int(v) - lo) * w
     return code
 
 
 def decode_result(scenario: Scenario, index: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Inverse of :func:`encode_result`: the ``(settings, outcomes)`` tuples of a result code."""
+    """Inverse of :func:`encode_result`: the ``(settings, outcomes)`` tuples of a result code, refused by the same
+    integer rule: a float, bool or string code raises ValueError, never coerced."""
     k = result_space_size(scenario)
-    if not 0 <= index < k:
-        raise ValueError(f"index {index} outside 0..{k - 1}")
+    if not _integer_in(index, 0, k - 1):
+        raise ValueError(f"index {index!r} is not an integer in 0..{k - 1}")
     settings, outcomes = _place_values(scenario)
     s, d, index = scenario.settings_per_party, scenario.outcomes_per_setting, int(index)
     return tuple(index // w % s + 1 for w in settings), tuple(index // w % d for w in outcomes)

@@ -14,7 +14,6 @@ from typing import Sequence
 import numpy as np
 
 from .functionals import build_function_set
-from .gainrates import protocol_rate
 from .optim import DEFAULT_CONTROLS, OptimizerControls
 from .protocols import DEFAULT_BLOCK, DEFAULT_FLOOR, PROTOCOLS, _run_selection, select_protocols
 from .scenario import Distribution
@@ -135,7 +134,7 @@ def run_seed_sweep(plan: SimulationPlan, seeds: Sequence[int], out_dir: str | Pa
     """Run the same plan under many seeds, sharing one function set and rate table; optionally write a per-seed summary table."""
     results = []
     for seed, functions, analyses in _seed_runs(plan, seeds):
-        rates = results[0].rates if results else {p: protocol_rate(p, plan.source, functions, plan.controls) for p in plan.protocols}
+        rates = results[0].rates if results else {p: PROTOCOLS[p].rate(plan.source, functions, plan.controls) for p in plan.protocols}
         results.append(ExperimentResult(replace(plan, seed=seed), analyses, rates))
     if out_dir is not None:
         out = Path(out_dir)

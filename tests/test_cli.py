@@ -371,6 +371,19 @@ def test_analyze_refuses_an_understated_bound_above_the_old_strategy_cap(tmp_pat
     assert f"{func_path}: declared bound B=0 is below the LR maximum 2" in capsys.readouterr().err
 
 
+def test_simulate_refuses_a_bound_widened_by_a_value_at_an_impossible_setting(tmp_path, capsys):
+    # joint setting 4 has probability 0; its 1e12 at result 15 once widened the bound check's slack to 1000,
+    # and spbr certified these 2,000 trials of the LR strategy "all outcomes 0" at p = 4.94e-324 (exit 0)
+    pi = [1 / 3, 1 / 3, 1 / 3, 0.0]
+    sc, lr_path, func_path = Scenario(2, 2, 2, pi), tmp_path / "LR.json", tmp_path / "F.json"
+    write_distribution(lr_path, strategy_distribution(sc, np.zeros((2, 2), dtype=int)))
+    values = [4.0, -4.0, -4.0, 4.0] * 3 + [0.0, 0.0, 0.0, 1e12]  # CHSH on settings 1-3
+    func_path.write_text(json.dumps({"scenario": {"l": 2, "s": 2, "d": 2, "setting_distribution": pi}, "B": -3.5, "values": values}))
+    argv = ["simulate", "--dist", str(lr_path), "--functions", f"file:{func_path}", "--protocol", "mart,spbr"]
+    assert main(argv + ["--trials", "2000", "--seed", "0"]) == 3
+    assert f"{func_path}: declared bound B=-3.5 is below the LR maximum 4" in capsys.readouterr().err
+
+
 def test_analyze_mart_when_the_running_mean_rounds_past_its_range(tmp_path, capsys):
     # 0.1 x CHSH on three top-scoring trials: the raw mean 0.4000000000000001 exceeded sup_a = 0.4 (exit 2)
     from bellcert import chsh_functional

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bellcert.scenario
@@ -402,6 +402,61 @@ def test_functional_accepts_exactly_the_bounds_at_its_lr_maximum(case):
     else:
         with pytest.raises(ScenarioMismatchError, match="below the LR maximum"):
             Functional("t", Scenario(l, s, d), bound, table)
+
+
+def _chsh_with_a_value_at_setting_4(rare: float) -> tuple[Scenario, np.ndarray]:
+    """(2, 2, 2) with joint setting 4 at probability ``rare``; CHSH on settings 1-3, zero on setting 4 but 1e12 at result 15."""
+    table = chsh_functional(Scenario(2, 2, 2)).table.copy()
+    table[12:], table[15] = 0.0, 1e12
+    return Scenario(2, 2, 2, [(1.0 - rare) / 3] * 3 + [rare]), table
+
+
+@pytest.mark.parametrize("rare,top", [(0.0, "4"), (1e-12, "5")], ids=["impossible", "rare"])
+def test_a_value_at_a_rare_or_impossible_setting_does_not_widen_the_bound_check(rare, top):
+    # the slack was 1e-9 of max|table|, 1000 here, so B = -3.5 passed for an LR maximum of 4 (or 5)
+    sc, table = _chsh_with_a_value_at_setting_4(rare)
+    with pytest.raises(ScenarioMismatchError, match=f"below the LR maximum {top}$"):
+        Functional("f", sc, -3.5, table)
+    assert Functional("f", sc, float(top), table).bound_B == float(top)
+
+
+def test_a_hand_built_table_with_a_value_at_an_impossible_result_is_refused():
+    # 900 on the possible results of the strategy "all outcomes 0", LR maximum 900, passed with 1e12 at result 15;
+    # spbr scored 200 of that strategy's trials at log2 T = 1864.6
+    sc, _ = _chsh_with_a_value_at_setting_4(0.0)
+    table = np.zeros(16)
+    table[[0, 4, 8]], table[15] = 900.0, 1e12
+    with pytest.raises(StandardizationError, match="LR maximum <= 1"):
+        StandardizedFunctional("r", sc, table)
+
+
+def _accepted(build) -> bool:
+    try:
+        build()
+    except (ScenarioMismatchError, StandardizationError):
+        return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_values_at_results_of_an_impossible_setting_never_change_acceptance(data):
+    # joint setting 4 of (2, 2, 2) has probability 0, so its results 12..15 weigh nothing in an LR expectation;
+    # bounds are drawn on both sides of the slack edge, in units of the oracle's LR maximum of |table|
+    pi = [1 / 3, 1 / 3, 1 / 3, 0.0]
+    sc, vertices = Scenario(2, 2, 2, pi), enumerate_strategy_distributions(2, 2, 2, pi)
+    table = np.array(data.draw(st.lists(st.floats(-5.0, 5.0, allow_subnormal=False), min_size=16, max_size=16)))
+    top, scale = (vertices @ table).max(), (vertices @ np.abs(table)).max()
+    assume(scale > 0.0)
+    offset = data.draw(st.sampled_from([-1e-6, -2e-9, -5e-10, 0.0, 1e-6]))
+    added = np.zeros(16)
+    added[12:] = data.draw(st.lists(st.floats(0.0, 1e12, allow_subnormal=False), min_size=4, max_size=4))
+    sign = data.draw(st.sampled_from([1.0, -1.0]))
+    bound = top + offset * scale
+    functional = [_accepted(lambda: Functional("t", sc, bound, t)) for t in (table, table + sign * added)]
+    r = np.abs(table) / scale * (1.0 + offset)
+    weighted = [_accepted(lambda: StandardizedFunctional("r", sc, t)) for t in (r, r + added)]
+    assert functional[0] == functional[1] and weighted[0] == weighted[1]
 
 
 def test_the_mermin_functional_has_lr_bound_two():

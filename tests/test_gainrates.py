@@ -16,7 +16,6 @@ from bellcert import (
     optimal_gain,
     uniform_outcome_distribution,
 )
-from bellcert import gainrates
 from bellcert.protocols import PROTOCOLS
 
 
@@ -158,9 +157,4 @@ def test_protocol_rate_is_each_protocols_own_formula(chsh_q, name):
         "spbr": lambda: gain_spbr(chsh_q, functions, controls).gain,
         "fpbr": lambda: optimal_gain(chsh_q, controls),
     }[name]
-    assert gainrates.protocol_rate(name, chsh_q, functions, controls) == direct()
-
-
-def test_protocol_rate_refuses_an_unknown_name(chsh_q):
-    with pytest.raises(ValueError, match="unknown protocol 'bogus'"):
-        gainrates.protocol_rate("bogus", chsh_q, build_function_set((), chsh_q.scenario), OptimizerControls())
+    assert PROTOCOLS[name].rate(chsh_q, functions, controls) == direct()

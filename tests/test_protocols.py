@@ -16,6 +16,7 @@ from bellcert import (
     Scenario,
     ScenarioMismatchError,
     SimplifiedPbrAnalysis,
+    SimulationPlan,
     SizeLimitError,
     StandardizationError,
     StandardizedFunctional,
@@ -32,6 +33,7 @@ from bellcert import (
     pbr_pvalue,
     run_full_pbr,
     run_martingale,
+    run_seed_sweep,
     run_simplified_pbr,
     sample_encoded,
     standardize,
@@ -195,13 +197,13 @@ def test_functions_must_share_one_scenario(trivial_scenario, function_scenario):
 
 def _record_predictions(analysis) -> list:
     """Make ``analysis`` record the (counts, n) rows its predictor is handed; returns the record."""
-    rows, predict = [], analysis._predict
+    rows, predict = [], analysis.predict
 
     def recording(counts, n):
         rows.extend(zip(counts.tolist(), n.tolist()))
         return predict(counts, n)
 
-    analysis._predict = recording
+    analysis.predict = recording
     return rows
 
 
@@ -239,7 +241,7 @@ def test_predictors_are_pure(chsh_q, protocol):
     analysis = _run_named(protocol, enc, chsh_q.scenario, 40)
     counts, n = np.vstack((np.bincount(enc[:120], minlength=16), analysis.counts)), np.array([120, 300])
     state = copy.deepcopy(vars(analysis))
-    first, second = analysis._predict(counts, n), analysis._predict(counts, n)
+    first, second = analysis.predict(counts, n), analysis.predict(counts, n)
     assert first[0].shape == (2, 16) and first[1].shape == (2,)
     assert all(np.array_equal(a, b) for a, b in zip(first, second))
     assert vars(analysis).keys() == state.keys()
@@ -317,7 +319,7 @@ def test_fpbr_validation(chsh_scenario):
 def _run_named(protocol, trials, scenario, block_size=154):
     d = scenario.outcomes_per_setting
     functions = build_function_set(["chsh" if d == 2 else f"cglmp:{d}"], scenario)
-    return PROTOCOLS[protocol](trials, functions, block_size, OptimizerControls(), 1e-9)
+    return PROTOCOLS[protocol].run(trials, functions, block_size, OptimizerControls(), 1e-9)
 
 
 @pytest.mark.parametrize("path", ["run", "rate"])
@@ -327,9 +329,9 @@ def test_mart_refuses_a_function_with_no_source(chsh_q, path):
     functions = [trivial_standardized(sc), StandardizedFunctional("r", sc, standardize(chsh_functional(sc)).table)]
     with pytest.raises(ValueError, match="'mart' needs a non-trivial sourced functional at position 1"):
         if path == "run":
-            PROTOCOLS["mart"](sample_encoded(chsh_q, 20, seed=0), functions, 10, OptimizerControls(), 1e-9)
+            PROTOCOLS["mart"].run(sample_encoded(chsh_q, 20, seed=0), functions, 10, OptimizerControls(), 1e-9)
         else:
-            gainrates.protocol_rate("mart", chsh_q, functions, OptimizerControls())
+            PROTOCOLS["mart"].rate(chsh_q, functions, OptimizerControls())
 
 
 def test_the_certificates_import_neither_the_analytics_nor_the_simulator():
@@ -348,6 +350,67 @@ def test_select_protocols_names_the_first_unknown_entry():
     for names, first in ((["mart", "zz", "aa"], "zz"), (["aa", "spbr", "zz"], "aa")):
         with pytest.raises(ValueError, match=rf"^unknown protocol '{first}' \(expected one of \('mart', 'spbr', 'fpbr'\)\)$"):
             select_protocols(names, 10)
+
+
+class FixedMixAnalysis(BlockAnalysis):
+    """A protocol known only to this module: every block scores the mean of the trivial and standardized CHSH tables.
+
+    Both tables are >= 0 with LR maximum at most 1, so their mean is too: a valid, never refit, test supermartingale.
+    """
+
+    refit_name = "fixed mix"
+
+    def __init__(self, functions, block_size):
+        self.mix = 0.5 * (functions[0].table + functions[1].table)
+        super().__init__(functions[0].scenario, block_size, self.mix)
+
+    def predict(self, counts, n):
+        return np.tile(self.mix, (n.size, 1)), np.ones(n.size, dtype=bool)
+
+    @staticmethod
+    def run(trials, functions, block_size, controls, floor):
+        analysis = FixedMixAnalysis(functions, block_size)
+        analysis.extend(trials)
+        return analysis
+
+    @staticmethod
+    def rate(q, functions, controls):
+        return float(q.probs @ np.log2(0.5 * (functions[0].table + functions[1].table)))
+
+
+def test_a_protocol_is_its_class_wherever_it_is_defined(monkeypatch, chsh_q):
+    # registering the class is all it takes: selection, runs, a seed sweep's rate table and its reports
+    monkeypatch.setitem(PROTOCOLS, "mix", FixedMixAnalysis)
+    assert select_protocols(["spbr", "mix"], 20) == {"spbr": SimplifiedPbrAnalysis, "mix": FixedMixAnalysis}
+    functions, controls = build_function_set(["chsh"], chsh_q.scenario), OptimizerControls()
+    enc = sample_encoded(chsh_q, 200, seed=0)
+    mix = protocols._run_selection(["mix"], enc, functions, 20, controls, 1e-9)["mix"]
+    assert mix.n == 200 and mix.statistic == pytest.approx(np.log2(mix.mix[enc]).sum(), rel=1e-12)
+    [result] = run_seed_sweep(SimulationPlan(chsh_q, 200, 0, protocols=("mart", "mix"), block_size=20), [0])
+    assert result.rates["mix"] == FixedMixAnalysis.rate(chsh_q, functions, controls) > 0.0
+    assert result.rates["mix"] == pytest.approx(float(chsh_q.probs @ np.log2(mix.mix)), rel=1e-12)
+    assert np.array_equal(result.analyses["mix"].history(), mix.history())
+
+
+def test_each_protocol_runs_and_rates_through_its_module_globals(monkeypatch, chsh_q):
+    # perfbench/traced.py times protocols.<name>.self_s and the rate spans by rebinding exactly these names
+    # (the rate functions' gainrates names are the same objects, so a wrap of every binding reaches both)
+    assert gainrates.gain_spbr is protocols.gain_spbr and gainrates.optimal_gain is protocols.optimal_gain
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    for name in ("run_martingale", "run_simplified_pbr", "run_full_pbr", "gain_martingale", "gain_spbr", "optimal_gain"):
+        monkeypatch.setattr(protocols, name, counted(name, getattr(protocols, name)))
+    routes = {"mart": ["run_martingale", "gain_martingale"], "spbr": ["run_simplified_pbr", "gain_spbr"], "fpbr": ["run_full_pbr", "optimal_gain"]}
+    functions, controls = build_function_set(["chsh"], chsh_q.scenario), OptimizerControls()
+    assert list(PROTOCOLS) == list(routes)
+    for name, cls in PROTOCOLS.items():
+        calls.clear()
+        assert cls.run(sample_encoded(chsh_q, 40, seed=0), functions, 20, controls, 1e-9).n == 40
+        assert cls.rate(chsh_q, functions, controls) > 0.0
+        assert calls == routes[name], name
 
 
 @pytest.mark.parametrize("protocol", ["mart", "spbr", "fpbr"])
@@ -430,9 +493,9 @@ def test_fpbr_rescales_each_pass_with_one_lr_maximum_call(monkeypatch):
     # two projection steps leave each ratio's LR maximum at 1.2-1.6 on this (3, 2, 2) LR mixture; the rescale
     # is the last party's best reply, and every returned table has enumerated LR maximum at most 1
     scenario = Scenario(3, 2, 2)
-    worst, tables, lr_maximum, predict = [], [], protocols.lr_maximum, FullPbrAnalysis._predict
+    worst, tables, lr_maximum, predict = [], [], protocols.lr_maximum, FullPbrAnalysis.predict
     monkeypatch.setattr(protocols, "lr_maximum", lambda *args: worst.append(lr_maximum(*args)) or worst[-1])
-    monkeypatch.setattr(FullPbrAnalysis, "_predict", lambda self, *args: tables.append(predict(self, *args)) or tables[-1])
+    monkeypatch.setattr(FullPbrAnalysis, "predict", lambda self, *args: tables.append(predict(self, *args)) or tables[-1])
     lam = np.random.default_rng(5).dirichlet(np.ones(64))
     enc = sample_encoded(mixture_distribution(scenario, lam), 2000, seed=2)
     analysis = FullPbrAnalysis(scenario, 50, OptimizerControls(max_iterations=2))
@@ -462,7 +525,7 @@ def test_history_prefix_is_causal(data):
     for protocol in ("mart", "spbr", "fpbr"):
         histories = []
         for run in (trials, other):
-            analysis = PROTOCOLS[protocol](run[:0], functions, block, OptimizerControls(max_iterations=50), 1e-9)
+            analysis = PROTOCOLS[protocol].run(run[:0], functions, block, OptimizerControls(max_iterations=50), 1e-9)
             size = data.draw(st.integers(1, 25))
             for start in range(0, run.size, size):
                 analysis.extend(run[start : start + size])

@@ -131,6 +131,14 @@ def test_decode_out_of_range(chsh_scenario):
         decode_result(chsh_scenario, -1)
 
 
+def test_decode_refuses_a_code_that_is_not_an_integer(chsh_scenario):
+    # 5.7, True and np.float64(5.0) were coerced by int() to the records of codes 5, 1 and 5
+    for code in (5.7, True, np.float64(5.0), np.bool_(True), "5"):
+        with pytest.raises(ValueError, match=re.escape(f"index {code!r} is not an integer in 0..15")):
+            decode_result(chsh_scenario, code)
+    assert decode_result(chsh_scenario, 5) == decode_result(chsh_scenario, np.int64(5)) == ((1, 2), (0, 1))
+
+
 def test_empirical_point_mass(chsh_scenario):
     x0 = encode_result(chsh_scenario, (1, 2), (1, 0))
     dist = empirical_distribution(chsh_scenario, np.array([x0] * 4))

@@ -18,7 +18,7 @@ from bellcert import (
     uniform_outcome_distribution,
     validity_exceedance,
 )
-from bellcert import gainrates, sim
+from bellcert import protocols, sim
 from bellcert.protocols import DEFAULT_FLOOR, PROTOCOLS
 from bellcert.sim import REPORT_CHUNK, VALIDITY_CONTROLS, write_report
 
@@ -132,7 +132,7 @@ def test_seed_sweep_builds_the_function_set_and_rates_once(monkeypatch, chsh_q):
         return lambda *args: calls.append(name) or fn(*args)
 
     monkeypatch.setattr(sim, "build_function_set", counted("functions", sim.build_function_set))
-    monkeypatch.setattr(gainrates, "optimal_gain", counted("fpbr rate", gainrates.optimal_gain))
+    monkeypatch.setattr(protocols, "optimal_gain", counted("fpbr rate", protocols.optimal_gain))
     results = run_seed_sweep(SimulationPlan(chsh_q, n_trials=60, seed=0, block_size=20), seeds=range(3))
     assert sorted(calls) == ["fpbr rate", "functions"]
     assert [r.plan.seed for r in results] == [0, 1, 2] and all(r.rates is results[0].rates for r in results)
@@ -154,7 +154,7 @@ def test_validity_exceedance_counts_rejections():
     functions = build_function_set((), q.scenario)
     for protocol, entry in PROTOCOLS.items():
         finals = [
-            entry(sample_encoded(q, 200, i), functions, 10, VALIDITY_CONTROLS, DEFAULT_FLOOR).pvalue
+            entry.run(sample_encoded(q, 200, i), functions, 10, VALIDITY_CONTROLS, DEFAULT_FLOOR).pvalue
             for i in range(20)
         ]
         assert rates[protocol] == {a: sum(p <= a for p in finals) / 20 for a in alphas}, protocol

@@ -64,7 +64,9 @@ commands=(
     "analyze_chsh_ns|analyze $trials --scenario 2,2,2 --functions chsh,nosignaling --protocol mart,spbr --block 154 --out @OUT@"
     "analyze_distinct|analyze $distinct --scenario 2,2,2 --functions chsh,nosignaling --protocol mart,spbr --block 154 --out @OUT@"
     "analyze_no_header|analyze $no_header --scenario 2,2,2 --protocol mart,spbr,fpbr --block 50 --out @OUT@"
+    "analyze_per_block|analyze $no_header --scenario 2,2,2 --protocol mart,spbr,fpbr --block 50 --per-block --out @OUT@"
     "simulate_cglmp3|simulate --config cglmp:3 --trials 10000 --block 154 --protocol mart,spbr,fpbr --out @OUT@"
+    "simulate_per_block|simulate --config chsh:0.6 --trials 2000 --block 50 --per-block --out @OUT@"
     "fpbr_spbr_chsh|simulate --config chsh:0.6 --trials 2000 --protocol fpbr,spbr --floor 0 --block 9 --max-iter 50"
     "fpbr_cglmp4|simulate --config cglmp:4 --trials 3000 --block 50 --protocol fpbr"
     "seed_sweep|simulate --config cglmp:3 --trials 2000 --seeds 3 --out @OUT@"
