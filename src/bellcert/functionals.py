@@ -2,8 +2,9 @@
 
 A functional is a per-trial real-valued function I, tabulated on the result
 encoding, with its null (local-realistic) expectation bound ``<I> <= B``; its
-pointwise range ``[inf_b, sup_a]`` is read off the table.  Standardization
-maps it to r = (I - b)/(B - b), non-negative with LR expectation at most 1.
+pointwise range ``[inf_b, sup_a]`` is read off the table's possible results, those
+of joint settings of positive probability.  Standardization maps it to
+r = (I - b)/(B - b) there and 0 elsewhere, non-negative with LR expectation at most 1.
 """
 from __future__ import annotations
 
@@ -16,9 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ScenarioMismatchError, StandardizationError, TrialFormatError, UnknownFunctionalError
-from .lrpolytope import lr_maximum
+from .lrpolytope import LR_EXCESS, lr_maximum
 from .scenario import Distribution, Scenario, _check_same_scenario, _dense_size, _frozen
-from .scenario import _json_numbers, scenario_from_json
+from .scenario import _json_numbers, _possible_results, scenario_from_json
 
 
 def _freeze_table(f: Functional | StandardizedFunctional) -> np.ndarray:
@@ -32,15 +33,15 @@ def _freeze_table(f: Functional | StandardizedFunctional) -> np.ndarray:
 
 
 def _lr_maximum_above(scenario: Scenario, table: np.ndarray, bound: float) -> float | None:
-    """The table's LR maximum where it exceeds ``bound`` beyond 1e-9 of the LR maximum of |table|, else None; both
+    """The table's LR maximum where it exceeds ``bound`` beyond LR_EXCESS of the LR maximum of |table|, else None; both
     weigh a result by its setting's probability, so a value at a rare or impossible setting cannot widen the slack."""
     top, scale = lr_maximum(scenario, np.vstack((table, np.abs(table)))).tolist()
-    return top if bound < top - 1e-9 * scale else None
+    return top if bound < top - LR_EXCESS * scale else None
 
 
 @dataclass(frozen=True, eq=False)
 class Functional:
-    """A per-trial function with declared LR bound B; its range [inf_b, sup_a] is the table's.
+    """A per-trial function with declared LR bound B; its range [inf_b, sup_a] is the table's on the possible results.
 
     ``table`` holds the K values ordered by the result encoding, so evaluating
     a trial is one lookup at its encoded index.  A non-finite bound raises ValueError, and one
@@ -56,8 +57,9 @@ class Functional:
 
     def __post_init__(self):
         t = _freeze_table(self)
-        object.__setattr__(self, "inf_b", float(t.min()))
-        object.__setattr__(self, "sup_a", float(t.max()))
+        possible = t[_possible_results(self.scenario)]  # no trial scores an impossible result
+        object.__setattr__(self, "inf_b", float(possible.min()))
+        object.__setattr__(self, "sup_a", float(possible.max()))
         if not np.isfinite(self.bound_B):
             raise ValueError(f"functional {self.name!r}: bound B must be a finite number, got {self.bound_B}")
         top = _lr_maximum_above(self.scenario, t, self.bound_B)
@@ -92,11 +94,11 @@ class StandardizedFunctional:
 
 
 def _standardized_table(f: Functional) -> np.ndarray:
-    """(I - b)/(B - b) over the table; requires inf_b < bound_B."""
+    """(I - b)/(B - b) on the possible results and 0 on the others; requires inf_b < bound_B."""
     b, bb = f.inf_b, f.bound_B
     if not b < bb:
         raise StandardizationError(f"functional {f.name!r}: standardization needs inf_b < bound_B (got {b} >= {bb})")
-    return (f.table - b) / (bb - b)
+    return np.where(_possible_results(f.scenario), (f.table - b) / (bb - b), 0.0)
 
 
 def standardize(f: Functional) -> StandardizedFunctional:

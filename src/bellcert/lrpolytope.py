@@ -15,10 +15,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SizeLimitError
-from .scenario import ENUMERATION_CAP, Distribution, Scenario, _dense_size, _place_values, result_space_size
+from .scenario import ENUMERATION_CAP, PROBABILITY_TOLERANCE, Distribution, Scenario, _check_simplex, _dense_size, _place_values
+from .scenario import result_space_size
 
 # Largest strategy space the full (polytope-searching) protocol will touch.
 STRATEGY_CAP = 2**20
+# LR-maximum slack in units of the LR maximum of |table|: n trials gain at most n * log2(1 + LR_EXCESS) unearned bits.
+LR_EXCESS = 1e-12
 
 
 def strategy_count(scenario: Scenario) -> int:
@@ -120,9 +123,7 @@ def mixture_distribution(scenario: Scenario, weights: np.ndarray) -> Distributio
     lam = np.asarray(weights, dtype=float)
     if lam.shape != (h,):
         raise ValueError(f"weights must have length {h}")
-    if not (np.all(lam >= 0.0) and abs(float(lam.sum()) - 1.0) <= 1e-10):
-        raise ValueError("weights must be non-negative and sum to 1 within 1e-10")
-    return Distribution(scenario, _mixture_probs(scenario, lam))
+    return Distribution(scenario, _mixture_probs(scenario, _check_simplex(lam, PROBABILITY_TOLERANCE, "weights")))
 
 
 def _mixture_probs(scenario: Scenario, lam: np.ndarray) -> np.ndarray:

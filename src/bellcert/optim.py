@@ -17,11 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lrpolytope import _mixture_probs, _require_within_caps, _support_table
-from .scenario import Distribution, Scenario, _check_same_scenario
+from .lrpolytope import LR_EXCESS, _mixture_probs, _require_within_caps, _support_table
+from .scenario import Distribution, Scenario, _check_same_scenario, _check_simplex
 
 # Fewer rows than this are solved one at a time, faster than in lockstep.
 LOCKSTEP_ROWS = 8
+# Slack of a frequency sum: frequencies only choose spbr's weights, and every convex weighting of valid tables is valid.
+FREQUENCY_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -73,9 +75,7 @@ def _check_gain_inputs(r_values: np.ndarray, freq: np.ndarray) -> tuple[np.ndarr
         raise ValueError(f"freq must have length {r.shape[0]}")
     if not np.all(r >= 0.0):
         raise ValueError("standardized function values must be non-negative")
-    if not (np.all(f >= 0.0) and abs(float(f.sum()) - 1.0) <= 1e-9):
-        raise ValueError("freq must be a probability assignment over the support points")
-    return r, f
+    return r, _check_simplex(f, FREQUENCY_TOLERANCE, "freq over the support points")
 
 
 def _dots(a: np.ndarray, b: np.ndarray):
@@ -202,8 +202,8 @@ def maximize_log_gain(
     r, f = _check_gain_inputs(r_values, freq)
     if r.shape[1] < 1:
         raise ValueError("at least the trivial function is required")
-    if not np.all(np.abs(r[:, 0] - 1.0) <= 1e-12):
-        raise ValueError("column 0 of r_values must be the trivial (all ones) function")
+    if not np.all(np.abs(r[:, 0] - 1.0) <= LR_EXCESS):  # so its LR maximum is at most 1 + LR_EXCESS
+        raise ValueError(f"column 0 of r_values must be the trivial (all ones) function, within {LR_EXCESS:g}")
     active = f > 0.0
     r, f = r[active], f[active]
     m = r.shape[1]

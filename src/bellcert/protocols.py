@@ -23,7 +23,7 @@ import numpy as np
 from .functionals import Functional, StandardizedFunctional, _function_columns, expectation
 from .lrpolytope import _require_projection_fits, lr_maximum
 from .optim import DEFAULT_CONTROLS, GainOptimum, OptimizerControls, _project_rows, kl_project_lr, maximize_log_gain
-from .scenario import Distribution, Scenario, _dense_size, _encoded
+from .scenario import Distribution, Scenario, _dense_size, _encoded, _possible_results
 
 # Smallest positive double; reported p-values are clamped here instead of 0.
 P_FLOOR = 5e-324
@@ -131,7 +131,7 @@ class BlockAnalysis:
     def __init__(self, scenario: Scenario, block_size: int, table: np.ndarray):
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
-        self.scenario, self.possible = scenario, np.repeat(scenario.setting_distribution > 0.0, scenario.n_joint_outcomes)
+        self.scenario, self.possible = scenario, _possible_results(scenario)
         self.block_size = block_size
         self.table = table
         self.n = 0

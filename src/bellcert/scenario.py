@@ -20,6 +20,10 @@ from .errors import ScenarioMismatchError, SizeLimitError, TrialFormatError
 INDEX_LIMIT = 2**63
 # Largest result space that operations may enumerate or materialize densely.
 ENUMERATION_CAP = 2**24
+# Setting distributions this close (or this close to uniform) are one: over J joint settings, LR expectations move <= J*it*max|t|.
+SETTING_TOLERANCE = 1e-12
+# Slack of a Distribution's sum and marginals: a source or a rate's input, never a score table, so no p-value reads it.
+PROBABILITY_TOLERANCE = 1e-10
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -27,6 +31,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float, order="C")
     a.flags.writeable = False
     return a
+
+
+def _check_simplex(values: np.ndarray, tolerance: float, what: str) -> np.ndarray:
+    """``values``, refused (ValueError naming ``what``) unless its entries are >= 0 and sum to 1 within ``tolerance``."""
+    if not (np.all(values >= 0.0) and abs(float(values.sum()) - 1.0) <= tolerance):
+        raise ValueError(f"{what} must be >= 0 and sum to 1 within {tolerance:g}")
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,8 +68,7 @@ class Scenario:
             dist = np.asarray(self.setting_distribution, dtype=float)
             if dist.shape != (n_joint,):
                 raise ValueError(f"setting_distribution must have length {n_joint}")
-            if not (np.all(dist >= 0.0) and abs(float(dist.sum()) - 1.0) <= 1e-12):
-                raise ValueError("setting_distribution entries must be >= 0 and sum to 1 within 1e-12")
+            _check_simplex(dist, SETTING_TOLERANCE, "setting_distribution entries")
         object.__setattr__(self, "setting_distribution", _frozen(dist))
 
     @property
@@ -70,7 +80,7 @@ class Scenario:
         return self.outcomes_per_setting**self.parties
 
     def is_uniform(self) -> bool:
-        return bool(np.allclose(self.setting_distribution, 1.0 / self.n_joint_settings, rtol=0, atol=1e-12))
+        return bool(np.allclose(self.setting_distribution, 1.0 / self.n_joint_settings, rtol=0, atol=SETTING_TOLERANCE))
 
 
 def result_space_size(scenario: Scenario) -> int:
@@ -84,6 +94,11 @@ def _dense_size(scenario: Scenario) -> int:
     if k > ENUMERATION_CAP:
         raise SizeLimitError(f"dense table over {k} results exceeds the cap {ENUMERATION_CAP}")
     return k
+
+
+def _possible_results(scenario: Scenario) -> np.ndarray:
+    """(K,) mask, in result-code order, of the results whose joint setting has positive probability."""
+    return np.repeat(scenario.setting_distribution > 0.0, scenario.n_joint_outcomes)
 
 
 def _encoded(trials, k: int) -> np.ndarray:
@@ -154,13 +169,10 @@ class Distribution:
         p = np.asarray(self.probs, dtype=float)
         if p.shape != (k,):
             raise ValueError(f"probs must have length {k}")
-        if not np.all(p >= 0.0):
-            raise ValueError("probabilities must be non-negative")
-        if not abs(float(p.sum()) - 1.0) <= 1e-10:
-            raise ValueError("probabilities must sum to 1 within 1e-10")
+        _check_simplex(p, PROBABILITY_TOLERANCE, "probabilities")
         if not self.empirical:
             marginal = p.reshape(self.scenario.n_joint_settings, -1).sum(axis=1)
-            if not np.allclose(marginal, self.scenario.setting_distribution, rtol=0, atol=1e-10):
+            if not np.allclose(marginal, self.scenario.setting_distribution, rtol=0, atol=PROBABILITY_TOLERANCE):
                 raise ValueError("outcome marginals do not reproduce the setting distribution")
         object.__setattr__(self, "probs", _frozen(p))
 
@@ -229,13 +241,13 @@ def scenario_from_json(obj: dict) -> Scenario:
 
 
 def _check_same_scenario(found: Scenario, expected: Scenario, where: str) -> None:
-    """Refuse two scenarios unless l, s, d are equal and the setting distributions agree within 1e-12."""
+    """Refuse two scenarios unless l, s, d are equal and the setting distributions agree within SETTING_TOLERANCE."""
     lsd = [(sc.parties, sc.settings_per_party, sc.outcomes_per_setting) for sc in (found, expected)]
     if lsd[0] != lsd[1]:
         raise ScenarioMismatchError(f"{where}: scenario (l, s, d) = {lsd[0]} does not match {lsd[1]}")
     a, b = found.setting_distribution, expected.setting_distribution
-    if a is not b and not np.allclose(a, b, rtol=0, atol=1e-12):
-        raise ScenarioMismatchError(f"{where}: setting distributions of scenario {lsd[0]} differ by more than 1e-12")
+    if a is not b and not np.allclose(a, b, rtol=0, atol=SETTING_TOLERANCE):
+        raise ScenarioMismatchError(f"{where}: setting distributions of scenario {lsd[0]} differ by more than {SETTING_TOLERANCE:g}")
 
 
 # Distinct line texts remembered by read_trials; keeps its memory bounded when every line differs.

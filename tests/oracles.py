@@ -88,6 +88,32 @@ def ghz_mermin():
     return probs, table
 
 
+def worst_case_exceedance(pvalue, n_max, alpha, p_up):
+    """Exact worst-case ``P(p_n <= alpha)`` and ``P(min_{m <= n} p_m <= alpha)``, n = 1..n_max, by a recursion over
+    (trial, number of up-steps).
+
+    ``pvalue(n, k)`` is the p-value after n trials with k up-steps, elementwise in the array ``k``, and must not
+    increase with k.  Each trial steps up with probability at most ``p_up`` whatever its past.  Both events then grow
+    with the path, so stepping up with probability exactly ``p_up`` at every trial is the worst case, and the count
+    is binomial.  Returns the two rates as arrays indexed by n - 1.
+    """
+    final, running = np.zeros(n_max), np.zeros(n_max)
+    law, free, hit = np.array([1.0]), np.array([1.0]), 0.0  # free: the law of paths whose p has not reached alpha
+
+    def step(v):
+        return np.concatenate((v * (1.0 - p_up), [0.0])) + np.concatenate(([0.0], v * p_up))
+
+    for n in range(1, n_max + 1):
+        p = np.asarray(pvalue(n, np.arange(n + 1)))
+        assert np.all(np.diff(p) <= 0.0), "the p-value must not increase with the number of up-steps"
+        law, free = step(law), step(free)
+        final[n - 1] = law[p <= alpha].sum()
+        hit += free[p <= alpha].sum()
+        free[p <= alpha] = 0.0
+        running[n - 1] = hit
+    return final, running
+
+
 def golden_section_max(fn, lo, hi, iters=200):
     """Maximize a unimodal scalar function on [lo, hi]."""
     phi = (math.sqrt(5.0) - 1.0) / 2.0

@@ -371,6 +371,16 @@ def test_analyze_refuses_an_understated_bound_above_the_old_strategy_cap(tmp_pat
     assert f"{func_path}: declared bound B=0 is below the LR maximum 2" in capsys.readouterr().err
 
 
+def test_analyze_refuses_a_chsh_bound_two_parts_per_billion_low(tmp_path, capsys, trial_file):
+    # the slack was 1e-9 of the LR maximum of |values|, 4e-9 here, so this bound passed with exit 0
+    func_path = tmp_path / "custom.json"
+    values = [4.0, -4.0, -4.0, 4.0] * 3 + [-4.0, 4.0, 4.0, -4.0]  # CHSH
+    func_path.write_text(json.dumps({"scenario": {"l": 2, "s": 2, "d": 2}, "B": 2.0 - 2e-9, "values": values}))
+    rc = main(["analyze", str(trial_file[0]), "--scenario", "2,2,2", "--functions", f"file:{func_path}", "--protocol", "mart"])
+    assert rc == 3
+    assert f"{func_path}: declared bound B=1.999999998 is below the LR maximum 2" in capsys.readouterr().err
+
+
 def test_simulate_refuses_a_bound_widened_by_a_value_at_an_impossible_setting(tmp_path, capsys):
     # joint setting 4 has probability 0; its 1e12 at result 15 once widened the bound check's slack to 1000,
     # and spbr certified these 2,000 trials of the LR strategy "all outcomes 0" at p = 4.94e-324 (exit 0)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import bellcert.scenario
 from bellcert import lrpolytope
 from bellcert import (
+    Distribution,
     Functional,
     Scenario,
     ScenarioMismatchError,
@@ -15,19 +16,26 @@ from bellcert import (
     StandardizationError,
     StandardizedFunctional,
     UnknownFunctionalError,
+    born_distribution,
     build_function_set,
     catalog_names,
+    chsh_config,
     chsh_functional,
     cglmp_functional,
     encode_result,
     expectation,
     load_functional_file,
     no_signaling_functionals,
+    run_martingale,
+    sample_encoded,
     standardize,
     trivial_standardized,
     uniform_outcome_distribution,
 )
 from bellcert.functionals import default_function_names, resolve_catalog_name
+from bellcert.lrpolytope import LR_EXCESS
+from bellcert.optim import DEFAULT_CONTROLS
+from bellcert.protocols import PROTOCOLS
 
 from oracles import embedded_chsh_table, enumerate_strategy_distributions, enumerate_strategy_expectations, ghz_mermin
 
@@ -175,8 +183,8 @@ def test_catalog_rejects_a_malformed_cglmp_name(chsh_scenario):
 def test_hand_built_weighted_function_is_checked(chsh_scenario):
     r = standardize(chsh_functional(chsh_scenario)).table
     assert not StandardizedFunctional("r", chsh_scenario, r).is_trivial
-    StandardizedFunctional("r", chsh_scenario, r * (1.0 + 1e-12))  # within 1e-9 of max |r|
-    for bad in (r * (1.0 + 1e-6), r - 0.1):
+    StandardizedFunctional("r", chsh_scenario, r * (1.0 + LR_EXCESS / 10))  # within LR_EXCESS of its LR maximum, 1
+    for bad in (r * (1.0 + 1e-6), r * (1.0 + 10 * LR_EXCESS), r - 0.1):
         with pytest.raises(StandardizationError):
             StandardizedFunctional("bad", chsh_scenario, bad)
     assert StandardizedFunctional("ones", chsh_scenario, np.ones(16)).is_trivial
@@ -362,6 +370,24 @@ def test_table_functional_refuses_an_understated_bound(chsh_scenario):
             Functional("custom", chsh_scenario, bound, table)
 
 
+def test_a_chsh_bound_two_parts_per_billion_low_is_refused(tmp_path, chsh_scenario):
+    # the slack was 1e-9 of the LR maximum of |table|, 4e-9 on CHSH, so B = 2 - 2e-9 passed
+    table = chsh_functional(chsh_scenario).table
+    with pytest.raises(ScenarioMismatchError, match="below the LR maximum 2$"):
+        Functional("custom", chsh_scenario, 2.0 - 2e-9, table)
+    with pytest.raises(ScenarioMismatchError, match="below the LR maximum 2$"):
+        load_functional_file(_functional_file(tmp_path / "f.json", 2.0 - 2e-9, table))
+
+
+@pytest.mark.parametrize("factor,ok", [(0.5, True), (2.0, False)], ids=["half", "twice"])
+def test_lr_excess_is_the_slack_of_every_lr_maximum_check(chsh_scenario, factor, ok):
+    # in units of the LR maximum of |table|, 4 here, not of max|table|, 1e12 here
+    sc, table = _chsh_with_a_value_at_setting_4(0.0)
+    assert _accepted(lambda: Functional("f", sc, 4.0 - factor * LR_EXCESS * 4.0, table)) is ok
+    r = standardize(chsh_functional(chsh_scenario)).table  # LR maximum 1, and so is that of |r|
+    assert _accepted(lambda: StandardizedFunctional("r", chsh_scenario, r * (1.0 + factor * LR_EXCESS))) is ok
+
+
 def test_functional_file_bound_check_on_a_zero_maximum(tmp_path, chsh_scenario):
     # a no-signaling witness has LR maximum 0 up to rounding; B = 0 is honest, B < 0 is not
     ns = no_signaling_functionals(chsh_scenario)[0]
@@ -371,7 +397,7 @@ def test_functional_file_bound_check_on_a_zero_maximum(tmp_path, chsh_scenario):
 
 
 SMALL_SCENARIOS = {(1, 2, 2): 4, (2, 2, 2): 16, (2, 2, 3): 36}
-# offsets from the LR maximum in units of max|t|, kept far from the tolerance edge at -1e-9
+# offsets from the LR maximum in units of max|t|, kept far from the tolerance edge at -LR_EXCESS
 OFFSETS = [-1.0, -1e-3, -1e-7, 0.0, 1e-7, 1.0]
 
 
@@ -397,7 +423,7 @@ def test_functional_accepts_exactly_the_bounds_at_its_lr_maximum(case):
     (l, s, d), table, top, offset = case
     scale = float(np.abs(table).max())
     bound = top + offset * scale
-    if bound >= top - 1e-9 * scale:
+    if bound >= top - LR_EXCESS * scale:
         assert Functional("t", Scenario(l, s, d), bound, table).bound_B == bound
     else:
         with pytest.raises(ScenarioMismatchError, match="below the LR maximum"):
@@ -438,6 +464,22 @@ def _accepted(build) -> bool:
     return True
 
 
+def _chsh_source_on(sc: Scenario) -> Distribution:
+    """The maximally entangled CHSH source's outcome conditionals on the (2, 2, 2) scenario ``sc``'s settings."""
+    conditional = born_distribution(*chsh_config(np.pi / 4.0)).probs.reshape(4, 4) * 4.0
+    return Distribution(sc, (conditional * sc.setting_distribution[:, None]).ravel())
+
+
+def _mart_outcome(f: Functional, trials: np.ndarray, q: Distribution) -> tuple:
+    """mart's p-value history and rate for ``f`` on ``trials`` and source ``q``, or the message that refuses it."""
+    functions = [trivial_standardized(f.scenario), standardize(f)] if f.inf_b < f.bound_B else []
+    try:
+        rate = PROTOCOLS["mart"].rate(q, functions, DEFAULT_CONTROLS)
+        return run_martingale(trials, f).history().tolist(), rate
+    except ValueError as exc:
+        return (str(exc),)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_values_at_results_of_an_impossible_setting_never_change_acceptance(data):
@@ -448,7 +490,7 @@ def test_values_at_results_of_an_impossible_setting_never_change_acceptance(data
     table = np.array(data.draw(st.lists(st.floats(-5.0, 5.0, allow_subnormal=False), min_size=16, max_size=16)))
     top, scale = (vertices @ table).max(), (vertices @ np.abs(table)).max()
     assume(scale > 0.0)
-    offset = data.draw(st.sampled_from([-1e-6, -2e-9, -5e-10, 0.0, 1e-6]))
+    offset = data.draw(st.sampled_from([-1e-6, -2 * LR_EXCESS, -LR_EXCESS / 2, 0.0, 1e-6]))
     added = np.zeros(16)
     added[12:] = data.draw(st.lists(st.floats(0.0, 1e12, allow_subnormal=False), min_size=4, max_size=4))
     sign = data.draw(st.sampled_from([1.0, -1.0]))
@@ -457,6 +499,15 @@ def test_values_at_results_of_an_impossible_setting_never_change_acceptance(data
     r = np.abs(table) / scale * (1.0 + offset)
     weighted = [_accepted(lambda: StandardizedFunctional("r", sc, t)) for t in (r, r + added)]
     assert functional[0] == functional[1] and weighted[0] == weighted[1]
+    if functional[0]:
+        # neither the range nor anything read from it sees the added values: no trial can score them
+        f, g = Functional("t", sc, bound, table), Functional("t", sc, bound, table + sign * added)
+        assert (f.inf_b, f.sup_a) == (g.inf_b, g.sup_a)
+        if f.inf_b < bound:
+            assert np.array_equal(standardize(f).table[:12], standardize(g).table[:12])
+        q = _chsh_source_on(sc)
+        trials = sample_encoded(q, 40, seed=0)
+        assert _mart_outcome(f, trials, q) == _mart_outcome(g, trials, q)
 
 
 def test_the_mermin_functional_has_lr_bound_two():

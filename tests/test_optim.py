@@ -21,7 +21,8 @@ from bellcert import (
     uniform_outcome_distribution,
 )
 
-from bellcert.optim import DEFAULT_CONTROLS, LOCKSTEP_ROWS, _dots, _multiplicative_update, _project_rows
+from bellcert.lrpolytope import LR_EXCESS
+from bellcert.optim import DEFAULT_CONTROLS, FREQUENCY_TOLERANCE, LOCKSTEP_ROWS, _dots, _multiplicative_update, _project_rows
 from oracles import (
     _squarem_em_reference,
     enumerate_strategy_distributions,
@@ -421,3 +422,18 @@ def test_run_axis_unreachable_rows_keep_uniform_weights():
         assert np.array_equal(lam[i], reference[0]) and np.array_equal(probs[i], reference[1])
         assert (div[i], evaluations[i], converged[i]) == reference[2:]
     assert list(div == math.inf) == [True, False, True, False] and min(evaluations[1], evaluations[3]) > 0
+
+
+@pytest.mark.parametrize("factor,ok", [(0.5, True), (2.0, False)], ids=["half", "twice"])
+def test_gain_input_tolerances_have_one_owner_each(factor, ok):
+    # the frequency sum is within FREQUENCY_TOLERANCE of 1, and the trivial column within LR_EXCESS of 1
+    r = np.array([[1.0, 0.5], [1.0, 1.5]])
+    for build, match in (
+        (lambda: maximize_log_gain(r, np.array([0.5, 0.5 + factor * FREQUENCY_TOLERANCE])), "freq over"),
+        (lambda: maximize_log_gain(r + [[factor * LR_EXCESS, 0.0], [0.0, 0.0]], np.full(2, 0.5)), "trivial"),
+    ):
+        if ok:
+            assert build().converged
+        else:
+            with pytest.raises(ValueError, match=match):
+                build()

@@ -43,7 +43,7 @@ from bellcert import (
 )
 from bellcert import gainrates, protocols
 from bellcert.protocols import PROTOCOLS, BlockAnalysis, select_protocols
-from oracles import enumerate_strategy_distributions, ghz_mermin, run_full_pbr_reference
+from oracles import enumerate_strategy_distributions, ghz_mermin, run_full_pbr_reference, worst_case_exceedance
 
 
 def test_pbr_pvalue_basics():
@@ -135,6 +135,25 @@ def test_run_martingale_mean_rounding_past_the_range_is_clipped(chsh_scenario):
     hist = analysis.history()
     assert np.all(hist[:, 1] == 0.4)
     assert hist[:, 2] == pytest.approx(0.75 ** np.arange(1, 4), rel=1e-12)
+
+
+def _chsh_mart_pvalue(n, k):
+    """mart's CHSH p-value after n trials of which k scored +4 and the rest -4, as the engine computes it."""
+    return martingale_pvalue(np.asarray(4.0 * (2 * k - n)) / n, n, 4.0, -4.0, 2.0)
+
+
+def test_mart_final_p_is_valid_against_every_lr_model_on_chsh(chsh_scenario):
+    # at uniform settings an LR model scores +4 with probability at most 3/4 given any past, so the recursion
+    # over (trial, number of +4 scores) is the exact worst case over every adaptive LR model
+    plus, minus = (encode_result(chsh_scenario, (1, 1), (0, o)) for o in (0, 1))  # I = +4, -4
+    ups = np.random.default_rng(0).random(200) < 0.75
+    history = run_martingale(np.where(ups, plus, minus), chsh_functional(chsh_scenario)).history()
+    assert np.array_equal(history[:, 2], [_chsh_mart_pvalue(n, k) for n, k in enumerate(np.cumsum(ups), start=1)])
+    for alpha in (0.5, 0.1, 0.02, 0.001):
+        final, running = worst_case_exceedance(_chsh_mart_pvalue, 200, alpha, 0.75)
+        assert np.all(final <= alpha), (alpha, int(np.argmax(final / alpha)) + 1, float(np.max(final / alpha)))
+        if alpha == 0.1:  # the README's figures: the running minimum is not a valid p-value
+            assert (round(float(final[-1]), 7), round(float(running[-1]), 6)) == (0.0182386, 0.169771)
 
 
 def test_run_martingale_rejects_unbounded(chsh_scenario):

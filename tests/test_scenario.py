@@ -15,6 +15,7 @@ from bellcert import (
     decode_result,
     empirical_distribution,
     encode_result,
+    mixture_distribution,
     read_distribution,
     read_trials,
     result_space_size,
@@ -23,7 +24,8 @@ from bellcert import (
     write_distribution,
     write_trials,
 )
-from bellcert.scenario import scenario_from_json, scenario_to_json, setting_log2_pvalue
+from bellcert.scenario import PROBABILITY_TOLERANCE, SETTING_TOLERANCE, _check_same_scenario, scenario_from_json
+from bellcert.scenario import scenario_to_json, setting_log2_pvalue
 
 
 def test_result_space_size():
@@ -314,3 +316,32 @@ def test_frozen_arrays_are_copies(chsh_q):
     assert not sc.setting_distribution.flags.writeable and not q.probs.flags.writeable
     dist[0], probs[0] = 9.0, 9.0
     assert sc.setting_distribution[0] == 0.4 and q.probs[0] == chsh_q.probs[0]
+
+
+def _refused(build, error=ValueError) -> bool:
+    try:
+        build()
+    except error:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("factor,ok", [(0.5, True), (2.0, False)], ids=["half", "twice"])
+def test_setting_tolerance_at_each_of_its_sites(chsh_scenario, factor, ok):
+    h = factor * SETTING_TOLERANCE
+    assert _refused(lambda: Scenario(2, 2, 2, [0.25, 0.25, 0.25, 0.25 + h])) is not ok
+    near = Scenario(2, 2, 2, [0.25 + h, 0.25 - h, 0.25, 0.25])
+    assert near.is_uniform() is ok
+    assert _refused(lambda: _check_same_scenario(near, chsh_scenario, "f"), ScenarioMismatchError) is not ok
+
+
+@pytest.mark.parametrize("factor,ok", [(0.5, True), (2.0, False)], ids=["half", "twice"])
+def test_probability_tolerance_at_each_of_its_sites(chsh_scenario, factor, ok):
+    h = factor * PROBABILITY_TOLERANCE
+    heavy, moved, weights = np.full(16, 1 / 16), np.full(16, 1 / 16), np.full(16, 1 / 16)
+    heavy[0] += h  # sums to 1 + h
+    moved[0], moved[4] = moved[0] + h, moved[4] - h  # setting marginals off by h
+    weights[0] += h
+    assert _refused(lambda: Distribution(chsh_scenario, heavy, empirical=True)) is not ok
+    assert _refused(lambda: Distribution(chsh_scenario, moved)) is not ok
+    assert _refused(lambda: mixture_distribution(chsh_scenario, weights)) is not ok

@@ -8,7 +8,8 @@
 # Inputs come from NEW_TREE's perfbench/ (the analyze_chsh_ns trial file at
 # workload seed 1, a 100,000-line copy whose lines all differ and a header-less
 # 2,000-line copy) and from numpy (a three-party GHZ source and its Mermin
-# functional), so both trees read the same bytes.  Every command runs with
+# functional; an LR source and a functional on (2,2,2) with joint settings
+# (1/3, 1/3, 1/3, 0)), so both trees read the same bytes.  Every command runs with
 # one BLAS thread and PYTHONHASHSEED=0.  Each tree's output directory is
 # replaced by OUT in the captured text before the comparison.  Exits 0 when
 # every output matches, 1 on any difference, 2 on a usage error.
@@ -58,6 +59,26 @@ with open(sys.argv[1], "w") as fh:
 with open(sys.argv[2], "w") as fh:
     json.dump({"scenario": scenario, "B": 2.0, "values": values.tolist()}, fh)
 EOF
+# (2,2,2) with joint setting 4 impossible: an LR source, half the strategy "all outcomes 0" and half uniform outcomes,
+# and CHSH on settings 1-3 plus 2 at result 0, zero on setting 4; B is its LR maximum 14/3, inside its range [-4, 6]
+nonuniform="$work/input/nonuniform.json"
+nonuniform_f="$work/input/nonuniform_f.json"
+python3 - "$nonuniform" "$nonuniform_f" <<'EOF'
+import itertools, json, sys
+import numpy as np
+pi = [1 / 3, 1 / 3, 1 / 3, 0.0]
+scenario = {"l": 2, "s": 2, "d": 2, "setting_distribution": pi}
+probs = np.outer(pi, 0.5 * np.eye(4)[0] + 0.5 * np.full(4, 0.25)).reshape(-1)
+values = np.array([4.0, -4.0, -4.0, 4.0] * 3 + [0.0] * 4)
+values[0] = 6.0
+# strategy (a1, a2, b1, b2) answers joint setting (x, y) with result 4 (2x + y) + 2 a_x + b_y
+top = max(sum(p * values[4 * (2 * x + y) + 2 * a[x] + a[2 + y]] for p, (x, y) in zip(pi, itertools.product(range(2), repeat=2)))
+          for a in itertools.product(range(2), repeat=4))
+with open(sys.argv[1], "w") as fh:
+    json.dump({"scenario": scenario, "probs": probs.tolist()}, fh)
+with open(sys.argv[2], "w") as fh:
+    json.dump({"scenario": scenario, "B": float(top), "values": values.tolist()}, fh)
+EOF
 
 # name|arguments of bellcert.cli; @OUT@ stands for the command's own output directory
 commands=(
@@ -80,6 +101,7 @@ commands=(
     "catalog_ns|catalog --scenario 2,3,2"
     "catalog_trivial|catalog --scenario 3,2,2"
     "ghz_mermin|simulate --dist $ghz --functions file:$mermin --protocol mart,spbr,fpbr --trials 20000 --block 50"
+    "nonuniform_settings|simulate --dist $nonuniform --functions file:$nonuniform_f --protocol mart,spbr,fpbr --trials 2000 --out @OUT@"
 )
 
 run_tree() {
