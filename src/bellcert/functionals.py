@@ -32,11 +32,11 @@ def _freeze_table(f: Functional | StandardizedFunctional) -> np.ndarray:
     return t
 
 
-def _lr_maximum_above(scenario: Scenario, table: np.ndarray, bound: float) -> float | None:
-    """The table's LR maximum where it exceeds ``bound`` beyond LR_EXCESS of the LR maximum of |table|, else None; both
-    weigh a result by its setting's probability, so a value at a rare or impossible setting cannot widen the slack."""
-    top, scale = lr_maximum(scenario, np.vstack((table, np.abs(table)))).tolist()
-    return top if bound < top - LR_EXCESS * scale else None
+def _lr_maximum_above(scenario: Scenario, table: np.ndarray, bound: float, floor: float) -> float | None:
+    """The table's LR maximum where it exceeds ``bound`` beyond LR_EXCESS of its height above ``floor``, else None;
+    ``floor`` is what standardization maps to 0 (inf_b, or 0 for an r-table), so no added constant widens the slack."""
+    top = float(lr_maximum(scenario, table[None, :])[0])
+    return top if bound < top - LR_EXCESS * (top - floor) else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +62,7 @@ class Functional:
         object.__setattr__(self, "sup_a", float(possible.max()))
         if not np.isfinite(self.bound_B):
             raise ValueError(f"functional {self.name!r}: bound B must be a finite number, got {self.bound_B}")
-        top = _lr_maximum_above(self.scenario, t, self.bound_B)
+        top = _lr_maximum_above(self.scenario, t, self.bound_B, self.inf_b)
         if top is not None:
             raise ScenarioMismatchError(f"declared bound B={self.bound_B:.12g} is below the LR maximum {top:.12g}")
 
@@ -89,7 +89,7 @@ class StandardizedFunctional:
             if not np.array_equal(t, _standardized_table(self.source)):
                 raise StandardizationError(f"weighted function {self.name!r} is not the standardized table of its source")
         elif not self.is_trivial:
-            if np.any(t < 0.0) or _lr_maximum_above(self.scenario, t, 1.0) is not None:
+            if np.any(t < 0.0) or _lr_maximum_above(self.scenario, t, 1.0, 0.0) is not None:
                 raise StandardizationError(f"weighted function {self.name!r} needs values >= 0 and LR maximum <= 1")
 
 
@@ -121,8 +121,8 @@ def _function_columns(functions: Sequence[StandardizedFunctional], scenario: Sce
 
 
 def expectation(f: Functional | StandardizedFunctional, dist: Distribution) -> float:
-    """Expectation of the functional under a distribution on the same scenario."""
-    return dist.expectation(f.table)
+    """Expectation of the functional under a distribution on the same scenario, over the possible results only."""
+    return dist.expectation(np.where(_possible_results(f.scenario), f.table, 0.0))  # a source may hold slop mass there
 
 
 def chsh_functional(scenario: Scenario) -> Functional:
@@ -187,14 +187,17 @@ def no_signaling_functionals(scenario: Scenario) -> list[Functional]:
     return out
 
 
-def load_functional_file(path: str | Path) -> Functional:
-    """Read a custom functional file ``{"scenario": .., "B": .., "values": [..]}``; checked as :class:`Functional` is."""
+def load_functional_file(path: str | Path, scenario: Scenario | None = None) -> Functional:
+    """Read a custom functional file ``{"scenario": .., "B": .., "values": [..]}``; checked as :class:`Functional` is,
+    on ``scenario`` if given (the file's must be the same), so its bound holds under the settings it is scored with."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     for key in ("scenario", "B", "values"):
         if not (isinstance(obj, dict) and key in obj):
             raise TrialFormatError(f"{path}: functional file must be a JSON object carrying {key!r}")
-    scenario = scenario_from_json(obj["scenario"])
+    declared = scenario_from_json(obj["scenario"])
+    scenario = scenario or declared
+    _check_same_scenario(declared, scenario, str(path))
     values = _json_numbers(obj["values"], f"{path}: 'values'")
     bound = float(_json_numbers([obj["B"]], f"{path}: 'B'")[0])
     try:
@@ -210,7 +213,8 @@ def load_functional_file(path: str | Path) -> Functional:
 def catalog_names(scenario: Scenario) -> list[str]:
     """Catalog identifiers applicable to a scenario: the one statement of which entry applies where."""
     d, names = scenario.outcomes_per_setting, ["trivial"]
-    two_by_two = scenario.parties == 2 and scenario.settings_per_party == 2 and scenario.is_uniform()
+    # bound 2 holds only at exactly uniform settings: with one entry h below 1/4, the CHSH LR maximum is 2 + 8h
+    two_by_two = scenario.parties == 2 and scenario.settings_per_party == 2 and np.all(scenario.setting_distribution == 0.25)
     if two_by_two and d == 2:
         names.append("chsh")
     if two_by_two and d >= 2:
@@ -233,9 +237,7 @@ def resolve_catalog_name(name: str, scenario: Scenario) -> list[Functional]:
     """Resolve a name :func:`catalog_names` lists, or a ``file:<path>`` functional file, to its functional(s); 'trivial' to none."""
     name = name.strip()
     if name.startswith("file:"):
-        f = load_functional_file(name[5:])
-        _check_same_scenario(f.scenario, scenario, name[5:])
-        return [f]
+        return [load_functional_file(name[5:], scenario)]
     listed = catalog_names(scenario)
     if name not in listed:
         raise UnknownFunctionalError(f"unknown functional {name!r}; this scenario's catalog is {', '.join(listed)}")

@@ -20,7 +20,7 @@ from .scenario import result_space_size
 
 # Largest strategy space the full (polytope-searching) protocol will touch.
 STRATEGY_CAP = 2**20
-# LR-maximum slack in units of the LR maximum of |table|: n trials gain at most n * log2(1 + LR_EXCESS) unearned bits.
+# LR-maximum slack in units of the standardized table's LR maximum: n trials gain at most n * log2(1 / (1 - it)) unearned bits.
 LR_EXCESS = 1e-12
 
 

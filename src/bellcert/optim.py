@@ -18,12 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lrpolytope import LR_EXCESS, _mixture_probs, _require_within_caps, _support_table
-from .scenario import Distribution, Scenario, _check_same_scenario, _check_simplex
+from .scenario import PROBABILITY_TOLERANCE, Distribution, Scenario, _check_same_scenario, _check_simplex
 
 # Fewer rows than this are solved one at a time, faster than in lockstep.
 LOCKSTEP_ROWS = 8
-# Slack of a frequency sum: frequencies only choose spbr's weights, and every convex weighting of valid tables is valid.
-FREQUENCY_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -75,7 +73,7 @@ def _check_gain_inputs(r_values: np.ndarray, freq: np.ndarray) -> tuple[np.ndarr
         raise ValueError(f"freq must have length {r.shape[0]}")
     if not np.all(r >= 0.0):
         raise ValueError("standardized function values must be non-negative")
-    return r, _check_simplex(f, FREQUENCY_TOLERANCE, "freq over the support points")
+    return r, _check_simplex(f, PROBABILITY_TOLERANCE, "freq over the support points")
 
 
 def _dots(a: np.ndarray, b: np.ndarray):

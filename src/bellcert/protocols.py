@@ -245,7 +245,8 @@ class MartingaleAnalysis(BlockAnalysis):
     @staticmethod
     def rate(q, functions, controls):
         f = _mart_functional(functions)
-        return gain_martingale(expectation(f, q), f.sup_a, f.inf_b, f.bound_B)
+        mean = np.clip(expectation(f, q), f.inf_b, f.sup_a)  # q sums to 1 only within PROBABILITY_TOLERANCE
+        return gain_martingale(mean, f.sup_a, f.inf_b, f.bound_B)
 
 
 class SimplifiedPbrAnalysis(BlockAnalysis):

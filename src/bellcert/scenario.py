@@ -20,9 +20,9 @@ from .errors import ScenarioMismatchError, SizeLimitError, TrialFormatError
 INDEX_LIMIT = 2**63
 # Largest result space that operations may enumerate or materialize densely.
 ENUMERATION_CAP = 2**24
-# Setting distributions this close (or this close to uniform) are one: over J joint settings, LR expectations move <= J*it*max|t|.
+# Setting distributions this close (or this close to uniform) are one scenario; a file: bound is rechecked on the one it is scored on.
 SETTING_TOLERANCE = 1e-12
-# Slack of a Distribution's sum and marginals: a source or a rate's input, never a score table, so no p-value reads it.
+# Slack of a probability vector's sum and of a Distribution's marginals: sources, rates and weight fits read them, no p-value does.
 PROBABILITY_TOLERANCE = 1e-10
 
 

@@ -36,6 +36,7 @@ from bellcert.functionals import default_function_names, resolve_catalog_name
 from bellcert.lrpolytope import LR_EXCESS
 from bellcert.optim import DEFAULT_CONTROLS
 from bellcert.protocols import PROTOCOLS
+from bellcert.scenario import PROBABILITY_TOLERANCE, scenario_to_json
 
 from oracles import embedded_chsh_table, enumerate_strategy_distributions, enumerate_strategy_expectations, ghz_mermin
 
@@ -381,11 +382,43 @@ def test_a_chsh_bound_two_parts_per_billion_low_is_refused(tmp_path, chsh_scenar
 
 @pytest.mark.parametrize("factor,ok", [(0.5, True), (2.0, False)], ids=["half", "twice"])
 def test_lr_excess_is_the_slack_of_every_lr_maximum_check(chsh_scenario, factor, ok):
-    # in units of the LR maximum of |table|, 4 here, not of max|table|, 1e12 here
+    # in units of the standardized LR maximum, the LR maximum 4 less inf_b -4 here, not of max|table|, 1e12 here
     sc, table = _chsh_with_a_value_at_setting_4(0.0)
-    assert _accepted(lambda: Functional("f", sc, 4.0 - factor * LR_EXCESS * 4.0, table)) is ok
+    assert _accepted(lambda: Functional("f", sc, 4.0 - factor * LR_EXCESS * 8.0, table)) is ok
     r = standardize(chsh_functional(chsh_scenario)).table  # LR maximum 1, and so is that of |r|
     assert _accepted(lambda: StandardizedFunctional("r", chsh_scenario, r * (1.0 + factor * LR_EXCESS))) is ok
+
+
+def test_a_constant_added_to_a_table_does_not_widen_the_bound_check(tmp_path, chsh_scenario):
+    # the slack was LR_EXCESS of the LR maximum of |values|, about 1 here, so B = 1e12 + 1.01 passed; its standardized
+    # table had LR maximum 1.2, and on 2,000 trials of the LR strategy "all outcomes 0" mart read p = 3.9e-29
+    values = 1e12 + chsh_functional(chsh_scenario).table
+    with pytest.raises(ScenarioMismatchError, match=r"B=1e\+12 is below the LR maximum 1e\+12$"):
+        load_functional_file(_functional_file(tmp_path / "f.json", 1e12 + 1.01, values))
+    assert load_functional_file(_functional_file(tmp_path / "f.json", 1e12 + 2.0, values)).bound_B == 1e12 + 2.0
+
+
+def test_a_file_functional_is_checked_on_the_settings_it_is_scored_with(tmp_path):
+    # setting 4 has probability 1e-12 in the file and 1.5e-12 in the data, one scenario within SETTING_TOLERANCE;
+    # B = 5 holds on the file's settings, but the 1e12 at result 15 lifts the LR maximum to 5.5 on the data's
+    file_scenario, table = _chsh_with_a_value_at_setting_4(1e-12)
+    data_scenario = Scenario(2, 2, 2, [(1.0 - 1.5e-12) / 3] * 3 + [1.5e-12])
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"scenario": scenario_to_json(file_scenario), "B": 5.0, "values": table.tolist()}))
+    assert load_functional_file(path).bound_B == 5.0
+    with pytest.raises(ScenarioMismatchError, match=f"{path}: declared bound B=5 is below the LR maximum 5.49999999999$"):
+        resolve_catalog_name(f"file:{path}", data_scenario)
+    assert resolve_catalog_name(f"file:{path}", file_scenario)[0].scenario is file_scenario
+
+
+@pytest.mark.parametrize("h", [2e-13, 5e-13, 9e-13])
+def test_the_catalog_lists_its_bound_two_entries_only_at_exactly_uniform_settings(h):
+    # within SETTING_TOLERANCE of uniform chsh was listed, then refused from h = 5e-13: "B=2 is below the LR maximum 2"
+    near = Scenario(2, 2, 2, [0.25 + h, 0.25 - h, 0.25, 0.25])
+    assert catalog_names(near) == ["trivial", "nosignaling"]
+    for name in ("chsh", "cglmp:2"):
+        with pytest.raises(UnknownFunctionalError, match=f"unknown functional '{name}'"):
+            build_function_set([name], near)
 
 
 def test_functional_file_bound_check_on_a_zero_maximum(tmp_path, chsh_scenario):
@@ -397,7 +430,7 @@ def test_functional_file_bound_check_on_a_zero_maximum(tmp_path, chsh_scenario):
 
 
 SMALL_SCENARIOS = {(1, 2, 2): 4, (2, 2, 2): 16, (2, 2, 3): 36}
-# offsets from the LR maximum in units of max|t|, kept far from the tolerance edge at -LR_EXCESS
+# offsets from the LR maximum in units of max|t|, kept far from the tolerance edge, within 2 * LR_EXCESS of 0
 OFFSETS = [-1.0, -1e-3, -1e-7, 0.0, 1e-7, 1.0]
 
 
@@ -423,7 +456,7 @@ def test_functional_accepts_exactly_the_bounds_at_its_lr_maximum(case):
     (l, s, d), table, top, offset = case
     scale = float(np.abs(table).max())
     bound = top + offset * scale
-    if bound >= top - LR_EXCESS * scale:
+    if bound >= top - LR_EXCESS * (top - table.min()):
         assert Functional("t", Scenario(l, s, d), bound, table).bound_B == bound
     else:
         with pytest.raises(ScenarioMismatchError, match="below the LR maximum"):
@@ -471,7 +504,7 @@ def _chsh_source_on(sc: Scenario) -> Distribution:
 
 
 def _mart_outcome(f: Functional, trials: np.ndarray, q: Distribution) -> tuple:
-    """mart's p-value history and rate for ``f`` on ``trials`` and source ``q``, or the message that refuses it."""
+    """mart's p-value history for ``f`` on ``trials`` and its rate at source ``q``, or the message that refuses it."""
     functions = [trivial_standardized(f.scenario), standardize(f)] if f.inf_b < f.bound_B else []
     try:
         rate = PROTOCOLS["mart"].rate(q, functions, DEFAULT_CONTROLS)
@@ -484,7 +517,8 @@ def _mart_outcome(f: Functional, trials: np.ndarray, q: Distribution) -> tuple:
 @given(data=st.data())
 def test_values_at_results_of_an_impossible_setting_never_change_acceptance(data):
     # joint setting 4 of (2, 2, 2) has probability 0, so its results 12..15 weigh nothing in an LR expectation;
-    # bounds are drawn on both sides of the slack edge, in units of the oracle's LR maximum of |table|
+    # bounds are drawn on both sides of the slack edge, in units of the oracle's LR maximum less the minimum over
+    # results 0..11, and weighted tables in units of the oracle's LR maximum of |table|
     pi = [1 / 3, 1 / 3, 1 / 3, 0.0]
     sc, vertices = Scenario(2, 2, 2, pi), enumerate_strategy_distributions(2, 2, 2, pi)
     table = np.array(data.draw(st.lists(st.floats(-5.0, 5.0, allow_subnormal=False), min_size=16, max_size=16)))
@@ -494,7 +528,7 @@ def test_values_at_results_of_an_impossible_setting_never_change_acceptance(data
     added = np.zeros(16)
     added[12:] = data.draw(st.lists(st.floats(0.0, 1e12, allow_subnormal=False), min_size=4, max_size=4))
     sign = data.draw(st.sampled_from([1.0, -1.0]))
-    bound = top + offset * scale
+    bound = top + offset * (top - table[:12].min())
     functional = [_accepted(lambda: Functional("t", sc, bound, t)) for t in (table, table + sign * added)]
     r = np.abs(table) / scale * (1.0 + offset)
     weighted = [_accepted(lambda: StandardizedFunctional("r", sc, t)) for t in (r, r + added)]
@@ -507,7 +541,10 @@ def test_values_at_results_of_an_impossible_setting_never_change_acceptance(data
             assert np.array_equal(standardize(f).table[:12], standardize(g).table[:12])
         q = _chsh_source_on(sc)
         trials = sample_encoded(q, 40, seed=0)
-        assert _mart_outcome(f, trials, q) == _mart_outcome(g, trials, q)
+        slop = np.zeros(16)  # a source may hold up to PROBABILITY_TOLERANCE of mass at the impossible results
+        slop[data.draw(st.integers(12, 15))] = data.draw(st.sampled_from([0.0, PROBABILITY_TOLERANCE / 2]))
+        source = Distribution(sc, q.probs + slop)
+        assert _mart_outcome(f, trials, source) == _mart_outcome(g, trials, source)
 
 
 def test_the_mermin_functional_has_lr_bound_two():

@@ -22,7 +22,8 @@ from bellcert import (
 )
 
 from bellcert.lrpolytope import LR_EXCESS
-from bellcert.optim import DEFAULT_CONTROLS, FREQUENCY_TOLERANCE, LOCKSTEP_ROWS, _dots, _multiplicative_update, _project_rows
+from bellcert.scenario import PROBABILITY_TOLERANCE
+from bellcert.optim import DEFAULT_CONTROLS, LOCKSTEP_ROWS, _dots, _multiplicative_update, _project_rows
 from oracles import (
     _squarem_em_reference,
     enumerate_strategy_distributions,
@@ -426,10 +427,10 @@ def test_run_axis_unreachable_rows_keep_uniform_weights():
 
 @pytest.mark.parametrize("factor,ok", [(0.5, True), (2.0, False)], ids=["half", "twice"])
 def test_gain_input_tolerances_have_one_owner_each(factor, ok):
-    # the frequency sum is within FREQUENCY_TOLERANCE of 1, and the trivial column within LR_EXCESS of 1
+    # the frequency sum is within PROBABILITY_TOLERANCE of 1, and the trivial column within LR_EXCESS of 1
     r = np.array([[1.0, 0.5], [1.0, 1.5]])
     for build, match in (
-        (lambda: maximize_log_gain(r, np.array([0.5, 0.5 + factor * FREQUENCY_TOLERANCE])), "freq over"),
+        (lambda: maximize_log_gain(r, np.array([0.5, 0.5 + factor * PROBABILITY_TOLERANCE])), "freq over"),
         (lambda: maximize_log_gain(r + [[factor * LR_EXCESS, 0.0], [0.0, 0.0]], np.full(2, 0.5)), "trivial"),
     ):
         if ok:

@@ -353,6 +353,14 @@ def test_mart_refuses_a_function_with_no_source(chsh_q, path):
             PROTOCOLS["mart"].rate(chsh_q, functions, OptimizerControls())
 
 
+def test_mart_rate_on_a_source_summing_to_one_within_tolerance(chsh_scenario):
+    # every result of this source scores inf_b = 6; its mean 6 * (1 - 5e-11) raised "outside the declared range [6.0, 14.0]"
+    f = Functional("shifted", chsh_scenario, 12.0, chsh_functional(chsh_scenario).table + 10.0)
+    probs = np.where(f.table == 6.0, 1 / 8, 0.0) * (1.0 - 5e-11)
+    functions = [trivial_standardized(chsh_scenario), standardize(f)]
+    assert PROTOCOLS["mart"].rate(Distribution(chsh_scenario, probs), functions, OptimizerControls()) == 0.0
+
+
 def test_the_certificates_import_neither_the_analytics_nor_the_simulator():
     tree = ast.parse(Path(protocols.__file__).read_text())
     names = set()
